@@ -142,7 +142,6 @@ class ConcentrationNet:
     delta_grid: float
     theta: float
     params: Params
-    far_field_average: float | None = None
 
     @property
     def size(self) -> int:

@@ -16,8 +16,8 @@ anchored-difference surrogate summed over neighboring cubes.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -36,6 +36,8 @@ __all__ = [
     "WorkingBoxError",
     "QuadratureError",
 ]
+
+log = logging.getLogger("sumspace.decompose")
 
 
 class WorkingBoxError(RuntimeError):
@@ -148,7 +150,6 @@ def build_extension(
     scale = max(np.max(np.abs(values)) if values.size else 0.0, abs(far_field), 1e-30)
     bvals = _eval_values(dec, _boundary_samples(net.working_box))
     dec.boundary_mismatch = float(np.max(np.abs(bvals - far_field)) / scale)
-    net.far_field_average = far_field
     if strict_far_field and dec.boundary_mismatch > far_field_tol:
         raise WorkingBoxError(
             f"working box too small: boundary mismatch {dec.boundary_mismatch:g} "
@@ -199,64 +200,93 @@ def mu_norm_f2(dec: Decomposition, p: float | None = None) -> float:
     return lp_norm(dec.mu, dec.f2, p)
 
 
-def _axis_segments(lo: float, hi: float, cuts: np.ndarray, nodes: np.ndarray, wts: np.ndarray):
-    """Mapped Gauss nodes/weights on [lo, hi] split at interior cut points."""
-    inner = np.unique(cuts[(cuts > lo) & (cuts < hi)])
-    edges = np.concatenate([[lo], inner, [hi]])
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = (b - a) / 2.0
-        if half <= 0:
-            continue
-        xs.append((a + b) / 2.0 + half * nodes)
-        ws.append(half * wts)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def _cube_gradient_power(dec: Decomposition, i: int, nodes: np.ndarray, wts: np.ndarray, p: float) -> float:
-    """Integral of ``max_axis |grad f1|^p`` over cover cube ``i``.
+def _cube_cells(dec: Decomposition, i: int):
+    """Ids of cover cube ``i`` and its neighbors, their anchored values, and
+    per axis the edges of the cube's cells.
 
     Neighbor bumps switch on and off inside the cube, so the integrand has
     axis-aligned kinks at the neighbors' plain and dilated faces; the cube is
-    split there and each smooth cell integrated with tensor Gauss nodes.
+    split there into smooth cells.  None of this depends on the Gauss order.
     """
     cover = dec.cover
-    n = cover.n
     c, h = cover.centers[i], cover.halves[i]
     local = np.concatenate([[i], cover.neighbors[i]]).astype(int)
     nc = cover.centers[local]
     nh = cover.halves[local]
     sup = PartitionOfUnity.SUPPORT
-    per_axis = []
-    for ax in range(n):
+    edges = []
+    for ax in range(cover.n):
         cuts = np.concatenate(
-            [
-                nc[:, ax] - nh,
-                nc[:, ax] + nh,
-                nc[:, ax] - sup * nh,
-                nc[:, ax] + sup * nh,
-            ]
+            [nc[:, ax] - nh, nc[:, ax] + nh, nc[:, ax] - sup * nh, nc[:, ax] + sup * nh]
         )
-        per_axis.append(
-            _axis_segments(c[ax] - h, c[ax] + h, cuts, nodes, wts)
-        )
-    if n == 1:
-        X = per_axis[0][0][:, None]
-        W = per_axis[0][1]
+        lo, hi = c[ax] - h, c[ax] + h
+        inner = np.unique(cuts[(cuts > lo) & (cuts < hi)])
+        edges.append(np.concatenate([[lo], inner, [hi]]))
+    return local, dec.tilde[cover.anchors[local]], edges
+
+
+def _cell_nodes(edges: np.ndarray, nodes: np.ndarray, wts: np.ndarray):
+    """Gauss nodes and weights mapped onto every cell between ``edges``."""
+    a, b = edges[:-1], edges[1:]
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
+    return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * wts).ravel()
+
+
+def _gradient_power(
+    pou: PartitionOfUnity,
+    local: np.ndarray,
+    t: np.ndarray,
+    edges: list[np.ndarray],
+    nodes: np.ndarray,
+    wts: np.ndarray,
+    p: float,
+) -> float:
+    """Tensor quadrature of ``max_axis |grad f1|^p`` over the cells of one cube.
+
+    The bumps of the ``local`` cubes factor over the axes, so the sums over
+    cubes at every tensor node are matrix products of per-axis factors:
+    ``S = f0 f1^T`` and, for each axis, the bump-gradient sum ``G`` and its
+    ``t``-weighted counterpart ``A``.  A 1d cube gets a second, constant axis.
+    """
+    (x0, w0), *rest = [_cell_nodes(e, nodes, wts) for e in edges]
+    f0, d0 = pou.axis_factor(local, x0, 0)
+    if rest:
+        (x1, w1), = rest
+        f1, d1 = pou.axis_factor(local, x1, 1)
     else:
-        (x0, w0), (x1, w1) = per_axis
-        gx, gy = np.meshgrid(x0, x1, indexing="ij")
-        X = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        W = (w0[:, None] * w1[None, :]).ravel()
-    b, g = dec.pou.bump_and_grad(local, X)
-    t = dec.tilde[cover.anchors[local]]
-    S = b.sum(axis=1)
-    G = g.sum(axis=1)
-    A = (t[None, :, None] * g).sum(axis=1)
-    B = b @ t
-    grad = (A * S[:, None] - B[:, None] * G) / (S * S)[:, None]
-    mag = np.max(np.abs(grad), axis=1)
-    return float(np.dot(W, mag**p))
+        w1, f1, d1 = np.ones(1), np.ones((1, local.size)), np.zeros((1, local.size))
+    tf0 = t * f0
+    S = f0 @ f1.T
+    B = tf0 @ f1.T
+    S2 = S * S
+    gx = ((t * d0) @ f1.T * S - B * (d0 @ f1.T)) / S2
+    gy = (tf0 @ d1.T * S - B * (f0 @ d1.T)) / S2
+    mag = np.maximum(np.abs(gx), np.abs(gy))
+    return float(w0 @ mag**p @ w1)
+
+
+def _cube_gradient_power(dec: Decomposition, i: int, nodes: np.ndarray, wts: np.ndarray, p: float) -> float:
+    """Integral of ``max_axis |grad f1|^p`` over cover cube ``i``."""
+    return _gradient_power(dec.pou, *_cube_cells(dec, i), nodes, wts, p)
+
+
+def _active_cubes(dec: Decomposition) -> np.ndarray:
+    """Ids of the cover cubes whose own and neighbors' anchored values differ.
+
+    A cube whose values coincide (up to the rounding floor of the averages)
+    carries a constant extension and contributes nothing; integrating only
+    cubes that see genuinely mixed values also keeps pure cancellation noise
+    out of the sum.
+    """
+    cover = dec.cover
+    tol_active = 1e-12 * float(np.max(np.abs(dec.tilde), initial=0.0))
+    v = dec.tilde[cover.anchors]
+    owner = np.repeat(np.arange(cover.size), [len(nb) for nb in cover.neighbors])
+    nb = np.concatenate(cover.neighbors).astype(int)
+    vmax, vmin = v.copy(), v.copy()
+    np.maximum.at(vmax, owner, v[nb])
+    np.minimum.at(vmin, owner, v[nb])
+    return np.nonzero(vmax - vmin > tol_active)[0]
 
 
 def estimate_sobolev_seminorm(
@@ -291,35 +321,31 @@ def estimate_sobolev_seminorm(
     if method != "quadrature":
         raise ValueError(f"unknown seminorm method {method!r}")
 
-    # a cube whose own and neighboring anchored values coincide (up to the
-    # rounding floor of the averages) carries a constant extension and
-    # contributes nothing; only cubes seeing genuinely mixed values are
-    # integrated, which also keeps pure cancellation noise out of the sum
-    tol_active = 1e-12 * float(np.max(np.abs(dec.tilde), initial=0.0))
-    active = [
-        i
-        for i in range(cover.size)
-        if np.ptp(dec.tilde[cover.anchors[np.concatenate([[i], cover.neighbors[i]]).astype(int)]])
-        > tol_active
-    ]
-    if not active:
+    active = _active_cubes(dec)
+    if not active.size:
+        log.info("seminorm: 0/%d active cubes, 0 rounds, value 0", cover.size)
         return 0.0
 
+    cells = [_cube_cells(dec, i) for i in active]
     order = base_order
     rounds: list[tuple[np.ndarray, float]] = []
     for _ in range(max_rounds + 1):
         nodes, wts = leggauss(order)
         parts = np.array(
-            [_cube_gradient_power(dec, i, nodes, wts, p) for i in active]
+            [_gradient_power(dec.pou, *cell, nodes, wts, p) for cell in cells]
         )
         total = float(parts.sum() ** (1.0 / p))
         if rounds:
             prev_total = rounds[-1][1]
             denom = max(total, prev_total, 1e-300)
             if abs(total - prev_total) <= rel_tol * denom:
+                log.info(
+                    "seminorm: %d/%d active cubes, %d rounds, order %d, value %.6g",
+                    active.size, cover.size, len(rounds) + 1, order, total,
+                )
                 return total
         rounds.append((parts, total))
         order *= 2
     last, prev = rounds[-1], rounds[-2]
-    worst = active[int(np.argmax(np.abs(last[0] - prev[0])))]
+    worst = int(active[np.argmax(np.abs(last[0] - prev[0]))])
     raise QuadratureError(worst, abs(last[1] - prev[1]) / max(last[1], 1e-300))

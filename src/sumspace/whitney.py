@@ -297,26 +297,30 @@ class PartitionOfUnity:
     def __init__(self, cover: WhitneyCover):
         self.cover = cover
 
+    def axis_factor(self, ids: np.ndarray, x: np.ndarray, axis: int):
+        """Ramp factors of cubes ``ids`` along ``axis`` at 1d coordinates ``x``.
+
+        The bump of a cube is the product of its factors over the axes.
+        Returns the factor values and their signed derivatives in ``x``, both
+        of shape (len(x), len(ids)).
+        """
+        d = x[:, None] - self.cover.centers[ids, axis][None, :]
+        r = self.cover.halves[ids][None, :]
+        width = r / 8.0
+        t = (self.SUPPORT * r - np.abs(d)) / width
+        return _ramp(t), _ramp_deriv(t) * (-1.0 / width) * np.sign(d)
+
     def bump_and_grad(self, ids: np.ndarray, X: np.ndarray):
-        """Per-axis quintic products ``b`` and gradients for cubes ``ids`` at rows of X.
+        """Bumps ``b`` and their gradients for cubes ``ids`` at the rows of X.
 
         Returns ``b`` of shape (P, K) and ``grad`` of shape (P, K, n).
         """
-        C = self.cover.centers[ids]
-        H = self.cover.halves[ids]
-        d = X[:, None, :] - C[None, :, :]
-        ad = np.abs(d)
-        r = H[None, :, None]
-        width = r / 8.0
-        t = (self.SUPPORT * r - ad) / width
-        f = _ramp(t)
-        df_dad = _ramp_deriv(t) * (-1.0 / width)
-        b = np.prod(f, axis=2)
-        grad = np.empty_like(d)
         n = X.shape[1]
-        for axis in range(n):
-            others = np.prod(np.delete(f, axis, axis=2), axis=2) if n > 1 else 1.0
-            grad[:, :, axis] = others * df_dad[:, :, axis] * np.sign(d[:, :, axis])
+        fs, ds = zip(*(self.axis_factor(ids, X[:, ax], ax) for ax in range(n)))
+        b = np.prod(fs, axis=0)
+        grad = np.stack(
+            [np.prod(fs[:ax] + fs[ax + 1 :], axis=0) * ds[ax] for ax in range(n)], axis=2
+        )
         return b, grad
 
     def support_ids(self, x) -> np.ndarray:

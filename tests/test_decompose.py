@@ -1,8 +1,15 @@
+import logging
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from sumspace.concentration import Params, build_net
 from sumspace.decompose import (
+    _active_cubes,
+    _cell_nodes,
+    _cube_cells,
+    _cube_gradient_power,
     build_extension,
     estimate_sobolev_seminorm,
     eval_f1,
@@ -278,3 +285,67 @@ def test_anchored_values_agree_on_eta_core():
                 assert cover.anchors[i] == e
                 for j in cover.neighbors[i]:
                     assert cover.anchors[int(j)] == e
+
+
+def _dense_gradient_power(dec, i, nodes, wts, p):
+    """Reference: the dense bump formula at every node of the tensor grid."""
+    local, t, edges = _cube_cells(dec, i)
+    axes = [_cell_nodes(e, nodes, wts) for e in edges]
+    X = np.stack([g.ravel() for g in np.meshgrid(*[x for x, _ in axes], indexing="ij")], axis=1)
+    W = np.prod(np.meshgrid(*[w for _, w in axes], indexing="ij"), axis=0).ravel()
+    b, g = dec.pou.bump_and_grad(local, X)
+    S = b.sum(axis=1)
+    G = g.sum(axis=1)
+    A = (t[None, :, None] * g).sum(axis=1)
+    B = b @ t
+    grad = (A * S[:, None] - B[:, None] * G) / (S * S)[:, None]
+    return float(np.dot(W, np.max(np.abs(grad), axis=1) ** p))
+
+
+def _clustered_1d():
+    rng = np.random.default_rng(4)
+    mu = AtomicMeasure(
+        np.concatenate([rng.uniform(-40, -30, size=(3, 1)), rng.uniform(30, 40, size=(3, 1))]),
+        rng.uniform(0.5, 2, size=6),
+    )
+    return decompose(mu, rng.normal(size=6))
+
+
+def _heavy_grid_2d():
+    pos = np.array([[float(i), float(j)] for i in range(3) for j in range(3)])
+    f = np.random.default_rng(0).normal(size=9)
+    return decompose(AtomicMeasure(pos, np.full(9, 100.0)), f, p=3.0)
+
+
+@pytest.mark.parametrize("build", [_clustered_1d, _heavy_grid_2d], ids=["1d", "2d"])
+def test_separable_quadrature_matches_dense_bumps(build):
+    prm, net, cover, pou, dec = build()
+    # the one-pass mask selects exactly the cubes of the per-cube spread rule
+    tol = 1e-12 * np.max(np.abs(dec.tilde))
+    spread = [
+        np.ptp(dec.tilde[cover.anchors[np.concatenate([[i], cover.neighbors[i]]).astype(int)]])
+        for i in range(cover.size)
+    ]
+    active = _active_cubes(dec)
+    assert np.array_equal(active, np.nonzero(np.array(spread) > tol)[0])
+    assert active.size > 0
+    for order in (4, 8):
+        nodes, wts = leggauss(order)
+        new = np.array([_cube_gradient_power(dec, i, nodes, wts, prm.p) for i in active])
+        ref = np.array([_dense_gradient_power(dec, i, nodes, wts, prm.p) for i in active])
+        assert np.max(np.abs(new - ref)) <= 1e-12 * ref.sum()
+
+
+def test_seminorm_logs_one_info_line(caplog):
+    prm, net, cover, pou, dec = _clustered_1d()
+    with caplog.at_level(logging.INFO, logger="sumspace.decompose"):
+        value = estimate_sobolev_seminorm(dec)
+    (record,) = [r for r in caplog.records if r.name == "sumspace.decompose"]
+    msg = record.getMessage()
+    n_active = _active_cubes(dec).size
+    assert f"{n_active}/{cover.size} active cubes" in msg
+    assert "rounds, order " in msg and msg.endswith(f"value {value:.6g}")
+    caplog.clear()
+    with caplog.at_level(logging.ERROR, logger="sumspace.decompose"):
+        estimate_sobolev_seminorm(dec)
+    assert not caplog.records

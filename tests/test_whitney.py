@@ -245,3 +245,30 @@ def test_partition_2d():
     for x in X:
         terms = pou.eval(x)
         assert abs(sum(t[1] for t in terms) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_bump_is_product_of_axis_factors(n):
+    rng = np.random.default_rng(10 + n)
+    mu = AtomicMeasure(rng.uniform(-3, 3, size=(4, n)), rng.uniform(0.5, 2.0, size=4))
+    prm, net, cover = build_cover(mu, p=2.5)
+    pou = PartitionOfUnity(cover)
+    ids = np.arange(cover.size)
+    # points near the cube faces, where the ramps are strictly between 0 and 1
+    pick = rng.integers(0, cover.size, size=400)
+    X = cover.centers[pick] + cover.halves[pick, None] * rng.uniform(-1.2, 1.2, size=(400, n))
+    b, g = pou.bump_and_grad(ids, X)
+    fs, ds = zip(*(pou.axis_factor(ids, X[:, ax], ax) for ax in range(n)))
+    if n == 1:
+        assert np.array_equal(b, fs[0])
+        assert np.array_equal(g[:, :, 0], ds[0])
+    else:
+        assert np.array_equal(b, fs[0] * fs[1])
+        assert np.array_equal(g[:, :, 0], fs[1] * ds[0])
+        assert np.array_equal(g[:, :, 1], fs[0] * ds[1])
+    assert np.any((b > 0) & (b < 1))
+    # the factor is the quintic smoothstep of the distance to the dilated face
+    d = X[:, None, 0] - cover.centers[None, :, 0]
+    r = cover.halves[None, :]
+    s = np.clip((9 / 8 * r - np.abs(d)) / (r / 8), 0.0, 1.0)
+    assert np.allclose(fs[0], s**3 * (10 - 15 * s + 6 * s**2), rtol=0, atol=1e-14)
