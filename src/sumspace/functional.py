@@ -426,12 +426,13 @@ def build_reference_family(
         mp, md = mu.mass(qp), mu.mass(qd)
         lam = _cr_weight(n, p, q.diam, qp, qd, mp, md)
         pairs.append(WeightedPair(lam, [qp], [qd], tag))
+    away_set = set(away)
     for lac in lacunae:
         if lac.projection is None:
             project_lacuna(lac, net, cover)
         k_cube = tilde_cube[int(lac.projection)]
         mass = mu.mass(k_cube)
-        member_cubes = [cover.cube(i) for i in lac.ids if i in set(away)]
+        member_cubes = [cover.cube(i) for i in lac.ids if i in away_set]
         if not member_cubes or mass <= 0:
             continue
         pairs.append(WeightedPair(1.0 / mass, member_cubes, [k_cube], "lacuna"))
@@ -668,6 +669,11 @@ def k_curve(
     values = np.asarray(getattr(f, "values", f), dtype=float).ravel()
     if t_grid is None:
         t_grid = default_t_grid(mu, values, p)
+    oracle_prob = None
+    if with_oracle and mu.n == 1:
+        from .oracle1d import OracleProblem, k_exact
+
+        oracle_prob = OracleProblem.from_measure(mu, values, p)
     out = []
     for t in t_grid:
         if not t > 0:
@@ -681,11 +687,7 @@ def k_curve(
             mu_t, values, p, Variant.CR, budget=budget, seed=seed, net=net, reference=ref
         )
         lower = float(t) * val ** (1.0 / p)
-        oracle = None
-        if with_oracle and mu.n == 1:
-            from .oracle1d import OracleProblem, k_exact
-
-            oracle = k_exact(OracleProblem.from_measure(mu, values, p), float(t))
+        oracle = None if oracle_prob is None else k_exact(oracle_prob, float(t))
         out.append(KCurvePoint(float(t), lower, upper, oracle))
     return out
 
