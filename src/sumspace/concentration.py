@@ -23,6 +23,7 @@ greedy construction.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -41,6 +42,8 @@ __all__ = [
     "covering_violations",
     "NetCoverageError",
 ]
+
+log = logging.getLogger("sumspace.concentration")
 
 
 class NetCoverageError(RuntimeError):
@@ -91,28 +94,78 @@ class Params:
             raise ValueError(f"p must exceed the dimension: p={self.p}, n={n}")
 
 
-def concentration_radius_batch(mu: AtomicMeasure, p: float, X) -> np.ndarray:
-    """Vectorized concentration radii for rows of ``X``."""
+# atoms in the first 1d radius window; rows without a trusted crossing retry
+# with twice as many
+_WINDOW = 32
+
+
+def _radius_rows(mu: AtomicMeasure, kappa: float, X: np.ndarray, width: int):
+    """Radii of the rows of ``X`` from windows of ``width`` atoms.
+
+    In 1d each row sees the ``width`` consecutive atoms in sorted-position
+    order around it; ``cut`` is the distance to the nearest atom outside
+    them, so the window holds every atom closer than ``cut``.  Otherwise
+    (2d, or a window of every atom) ``cut`` is infinite.  The window is put
+    in atom-index order and stable-sorted by distance, the order of a stable
+    argsort over all atoms, so prefix masses below ``cut`` are the same
+    sums.  Returns the radii, ``nan`` where no crossing below ``cut`` can be
+    trusted.
+    """
+    N = X.shape[0]
+    if mu.n == 1 and width < mu.m:
+        x = X[:, 0]
+        s = np.clip(np.searchsorted(mu._sorted_x, x) - width // 2, 0, mu.m - width)
+        idx = np.sort(mu._order[s[:, None] + np.arange(width)], axis=1)
+        P = mu.positions[idx]
+        # sorted positions padded by -inf/+inf: xs[s] and xs[s + width + 1]
+        # are the neighbours just outside the window
+        xs = np.concatenate([[-np.inf], mu._sorted_x, [np.inf]])
+        cut = np.minimum(np.abs(x - xs[s]), np.abs(xs[s + width + 1] - x))[:, None]
+    else:
+        idx = None
+        P = mu.positions[None, :, :]
+        cut = np.full((N, 1), np.inf)
+    D = np.max(np.abs(X[:, None, :] - P), axis=2)
+    order = np.argsort(D, axis=1, kind="stable")
+    Ds = np.take_along_axis(D, order, axis=1)
+    atoms = order if idx is None else np.take_along_axis(idx, order, axis=1)
+    cum = np.cumsum(mu.weights[atoms], axis=1)
+    # on [d_k, d_{k+1}) the mass is cum_k; the crossing there, if any, is
+    # max(d_k, cum_k^(-kappa)); later crossings are >= d_{k+1}, so the first
+    # one is the radius.  A crossing below cut has d_k < cut, so its prefix
+    # holds no atom outside the window.
+    cand = np.maximum(Ds, cum ** (-kappa))
+    nxt = np.concatenate([Ds[:, 1:], np.full((N, 1), np.inf)], axis=1)
+    valid = cand < np.minimum(nxt, cut)
+    first = cand[np.arange(N), np.argmax(valid, axis=1)]
+    return np.where(valid.any(axis=1), first, np.nan)
+
+
+def _radii(mu: AtomicMeasure, p: float, X) -> tuple[np.ndarray, int]:
+    """Concentration radii of the rows of ``X`` and the count of widened rows."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != mu.n:
         raise ValueError(f"dimension mismatch: points {X.shape[1]}, measure {mu.n}")
     if not p > mu.n:
         raise ValueError(f"p must exceed the dimension: p={p}, n={mu.n}")
     kappa = 1.0 / (p - mu.n)
-    # distances from each query point to each atom, sorted rowwise
-    D = np.max(np.abs(X[:, None, :] - mu.positions[None, :, :]), axis=2)
-    order = np.argsort(D, axis=1, kind="stable")
-    Ds = np.take_along_axis(D, order, axis=1)
-    W = np.take_along_axis(np.broadcast_to(mu.weights, D.shape), order, axis=1)
-    cum = np.cumsum(W, axis=1)
-    # on [d_k, d_{k+1}) the mass is cum_k; the crossing there, if any, is
-    # max(d_k, cum_k^(-kappa))
-    thresholds = cum ** (-kappa)
-    cand = np.maximum(Ds, thresholds)
-    nxt = np.concatenate([Ds[:, 1:], np.full((Ds.shape[0], 1), np.inf)], axis=1)
-    valid = cand < nxt
-    cand = np.where(valid, cand, np.inf)
-    return np.min(cand, axis=1)
+    R = np.empty(X.shape[0])
+    rows = np.arange(X.shape[0])
+    width = _WINDOW
+    widened = 0
+    while rows.size:
+        Rw = _radius_rows(mu, kappa, X[rows], width)
+        done = ~np.isnan(Rw)
+        R[rows[done]] = Rw[done]
+        rows = rows[~done]
+        widened += rows.size
+        width *= 2
+    return R, widened
+
+
+def concentration_radius_batch(mu: AtomicMeasure, p: float, X) -> np.ndarray:
+    """Vectorized concentration radii for rows of ``X``."""
+    return _radii(mu, p, X)[0]
 
 
 def concentration_radius(mu: AtomicMeasure, p: float, x) -> float:
@@ -198,6 +251,18 @@ def _layer_candidate_grid(mu: AtomicMeasure, box: Cube, j: int, h: float) -> np.
     lo = box.lo
     n = mu.n
     max_idx = np.maximum(np.ceil((box.hi - lo) / h).astype(int), 0)
+    if n == 1:
+        a = mu.positions[:, 0]
+        i0 = np.maximum(np.floor((a - reach - lo[0]) / h).astype(int), 0)
+        i1 = np.minimum(np.ceil((a + reach - lo[0]) / h).astype(int), max_idx[0])
+        i0, i1 = i0[i1 >= i0], i1[i1 >= i0]
+        if not i0.size:
+            return np.zeros((0, 1))
+        # union of the ranges i0..i1: concatenated aranges, then np.unique
+        counts = i1 - i0 + 1
+        starts = np.repeat(i0 - np.cumsum(counts) + counts, counts)
+        idx = np.unique(starts + np.arange(int(counts.sum())))
+        return lo[None, :] + idx.astype(float)[:, None] * h
     keys: set[tuple[int, ...]] = set()
     for a in mu.positions:
         i0 = np.floor((a - reach - lo) / h).astype(int)
@@ -233,26 +298,28 @@ def _greedy_layer_net(cand: np.ndarray, radii: np.ndarray, eps: float):
     return np.array(keep_pts), np.array(keep_r)
 
 
+@dataclass
+class _BuildStats:
+    j_min: int
+    j_max: int
+    candidates: int
+    widened: int
+
+
 def _build_once(mu: AtomicMeasure, params: Params, box: Cube, theta: float):
     p = params.p
     n = mu.n
     kappa = 1.0 / (p - n)
 
-    # layer range: R over the box is 1-Lipschitz and bounded below by the
-    # total-mass threshold, so anchor samples plus the box radius bracket it
-    anchors = [mu.positions, _corners(box), box.center[None, :]]
-    if mu.m > 1:
-        mids = (mu.positions[:, None, :] + mu.positions[None, :, :]) / 2.0
-        anchors.append(mids.reshape(-1, n))
-    A = np.unique(np.concatenate(anchors, axis=0), axis=0)
-    RA = concentration_radius_batch(mu, p, A)
+    # layer range: R is 1-Lipschitz, so R <= R(center) + half_side on the box,
+    # and R is bounded below by the total-mass threshold
+    fixed_pts = np.concatenate([mu.positions, _corners(box)], axis=0)
+    RF, widened = _radii(mu, p, np.concatenate([fixed_pts, box.center[None, :]], axis=0))
     r_floor = mu.total_mass ** (-kappa)
-    r_max = float(np.max(RA)) + box.half_side
+    r_max = float(np.max(RF)) + box.half_side
     j_min = _layer_of(r_max)
     j_max = _layer_of(r_floor)
-
-    fixed_pts = np.concatenate([mu.positions, _corners(box)], axis=0)
-    fixed_R = concentration_radius_batch(mu, p, fixed_pts)
+    n_cand = RF.size
 
     layer_pts: dict[int, np.ndarray] = {}
     layer_R: dict[int, np.ndarray] = {}
@@ -262,7 +329,9 @@ def _build_once(mu: AtomicMeasure, params: Params, box: Cube, theta: float):
         pts = [grid] if grid.size else []
         pts.append(fixed_pts)
         cand = np.unique(np.concatenate(pts, axis=0), axis=0)
-        R = concentration_radius_batch(mu, p, cand)
+        R, w = _radii(mu, p, cand)
+        n_cand += R.size
+        widened += w
         lo, hi = 2.0 ** (-j - 1), 2.0 ** (-j)
         mask = (R > lo) & (R <= hi)
         inside = np.max(np.abs(cand - box.center), axis=1) <= box.half_side * (1 + 1e-12)
@@ -314,7 +383,8 @@ def _build_once(mu: AtomicMeasure, params: Params, box: Cube, theta: float):
     P, R, L = P[keep], R[keep], L[keep]
 
     delta = (2.0 + 86.0 * theta) / 83.0
-    return ConcentrationNet(P, R, L, box, delta, theta, params)
+    net = ConcentrationNet(P, R, L, box, delta, theta, params)
+    return net, _BuildStats(j_min, j_max, n_cand, widened)
 
 
 def _verification_points(mu: AtomicMeasure, box: Cube, per_axis: int = 9) -> np.ndarray:
@@ -329,12 +399,10 @@ def covering_violations(net: ConcentrationNet, mu: AtomicMeasure, X) -> list[tup
     X = np.atleast_2d(np.asarray(X, dtype=float))
     RX = concentration_radius_batch(mu, net.params.p, X)
     bound = 83.0 * (1.0 + net.delta_grid)
-    out = []
-    for i in range(X.shape[0]):
-        lhs = net.covering_lhs(X[i])
-        if lhs > bound * RX[i] * (1 + 1e-12):
-            out.append((X[i], lhs / RX[i], bound))
-    return out
+    dists = np.max(np.abs(net.points[None, :, :] - X[:, None, :]), axis=2)
+    lhs = np.min(dists + net.radii, axis=1)
+    bad = np.flatnonzero(lhs > bound * RX * (1 + 1e-12))
+    return [(X[i], lhs[i] / RX[i], bound) for i in bad]
 
 
 def build_net(
@@ -358,10 +426,19 @@ def build_net(
     box = _default_box(mu, params.p, box_inflation)
     th = theta
     last_violation = None
-    for _ in range(max_refine + 1):
-        net = _build_once(mu, params, box, th)
+    candidates = widened = 0
+    for rounds in range(1, max_refine + 2):
+        net, stats = _build_once(mu, params, box, th)
+        candidates += stats.candidates
+        widened += stats.widened
         bad = covering_violations(net, mu, _verification_points(mu, box))
         if not bad:
+            log.info(
+                "net: m=%d n=%d p=%g, layers %d..%d, %d candidates, "
+                "%d widened radius rows, %d points, %d rounds, theta %g",
+                mu.m, mu.n, params.p, stats.j_min, stats.j_max, candidates,
+                widened, net.size, rounds, th,
+            )
             return net
         last_violation = max(bad, key=lambda t: t[1])
         th /= 2.0

@@ -1,8 +1,18 @@
+import dataclasses
+import itertools
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sumspace.concentration import (
+    _WINDOW,
     Params,
+    _corners,
+    _default_box,
+    _layer_candidate_grid,
+    _radii,
     build_net,
     concentration_radius,
     concentration_radius_batch,
@@ -166,3 +176,156 @@ def test_lipschitz_spot():
     r0 = concentration_radius(mu, 2.0, [0.0])
     r2 = concentration_radius(mu, 2.0, [2.0])
     assert abs(r0 - r2) <= 2.0
+
+
+def _dense_radius(mu, p, X):
+    """Reference kernel: a stable argsort over every atom for every row."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    kappa = 1.0 / (p - mu.n)
+    D = np.max(np.abs(X[:, None, :] - mu.positions[None, :, :]), axis=2)
+    order = np.argsort(D, axis=1, kind="stable")
+    Ds = np.take_along_axis(D, order, axis=1)
+    W = np.take_along_axis(np.broadcast_to(mu.weights, D.shape), order, axis=1)
+    cum = np.cumsum(W, axis=1)
+    cand = np.maximum(Ds, cum ** (-kappa))
+    nxt = np.concatenate([Ds[:, 1:], np.full((Ds.shape[0], 1), np.inf)], axis=1)
+    return np.min(np.where(cand < nxt, cand, np.inf), axis=1)
+
+
+def _kernel_queries(pos, scale, rng):
+    """Atoms, midpoints of sorted neighbours, far outside the hull, and lattice ties."""
+    xs = np.sort(pos[:, 0])
+    mids = (xs[:-1] + xs[1:]) / 2.0
+    far = np.array([-100.0, -10.0, 10.0, 100.0]) * scale
+    ties = np.round(rng.uniform(-1.5, 1.5, size=40), 1) * scale
+    return np.concatenate([xs, mids, far, ties, rng.uniform(-3, 3, size=40) * scale])[:, None]
+
+
+@pytest.mark.parametrize("p", [1.2, 2.0, 6.0])
+@pytest.mark.parametrize("m", [1, 2, 33, 300])
+def test_radius_kernel_bit_equal_to_dense(m, p):
+    rng = np.random.default_rng(m * 10 + int(p * 10))
+    scale = 4.0
+    # positions on a 0.1 * scale lattice: tied distances and coincident atoms
+    pos = np.round(rng.uniform(-1, 1, size=(m, 1)), 1) * scale
+    for weights in (2.0 ** rng.uniform(-3, 3, size=m), np.full(m, 1e-3)):
+        mu = AtomicMeasure(pos, weights)
+        X = _kernel_queries(pos, scale, rng)
+        got = concentration_radius_batch(mu, p, X)
+        want = _dense_radius(mu, p, X)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_radius_kernel_widens_past_first_window():
+    # 300 light atoms: the crossing needs most of them, beyond the first window
+    m = 300
+    mu = AtomicMeasure(np.linspace(0.0, 1.0, m)[:, None], np.full(m, 1.0 / m))
+    X = np.linspace(-2.0, 3.0, 101)[:, None]
+    R, widened = _radii(mu, 2.0, X)
+    assert m > _WINDOW and widened >= X.shape[0]
+    assert np.array_equal(R.view(np.int64), _dense_radius(mu, 2.0, X).view(np.int64))
+
+
+def test_radius_kernel_2d_matches_dense():
+    rng = np.random.default_rng(23)
+    pos = np.round(rng.uniform(-2, 2, size=(40, 2)), 1)
+    mu = AtomicMeasure(pos, 2.0 ** rng.uniform(-3, 3, size=40))
+    X = np.concatenate([pos, rng.uniform(-30, 30, size=(60, 2))])
+    got = concentration_radius_batch(mu, 3.0, X)
+    assert np.array_equal(got.view(np.int64), _dense_radius(mu, 3.0, X).view(np.int64))
+
+
+@pytest.mark.parametrize("n,p,seed", [(1, 1.5, 0), (1, 3.0, 1), (2, 2.5, 2), (2, 3.0, 3)])
+def test_layer_bracket_bounds_radius_on_box(n, p, seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 40))
+    mu = AtomicMeasure(rng.uniform(-2, 2, size=(m, n)), 2.0 ** rng.uniform(-2, 2, size=m))
+    box = _default_box(mu, p, 4.0)
+    fixed = np.concatenate([mu.positions, _corners(box), box.center[None, :]])
+    bracket = float(np.max(concentration_radius_batch(mu, p, fixed))) + box.half_side
+    axes = [np.linspace(box.lo[d], box.hi[d], 2001 if n == 1 else 121) for d in range(n)]
+    sample = np.array(list(itertools.product(*axes)))
+    assert np.max(concentration_radius_batch(mu, p, sample)) <= bracket
+
+
+def _loop_candidate_grid(mu, box, j, h):
+    """Reference: the union of per-atom index ranges as a set of tuples."""
+    reach = 2.0 ** (-j) + h
+    lo = box.lo
+    max_idx = np.maximum(np.ceil((box.hi - lo) / h).astype(int), 0)
+    keys = set()
+    for a in mu.positions:
+        i0 = np.maximum(np.floor((a - reach - lo) / h).astype(int), 0)
+        i1 = np.minimum(np.ceil((a + reach - lo) / h).astype(int), max_idx)
+        if np.any(i1 < i0):
+            continue
+        keys.update(itertools.product(*[range(int(i0[d]), int(i1[d]) + 1) for d in range(mu.n)]))
+    if not keys:
+        return np.zeros((0, mu.n))
+    return lo[None, :] + np.array(sorted(keys), dtype=float) * h
+
+
+def test_layer_candidate_grid_1d_matches_loop():
+    rng = np.random.default_rng(9)
+    mu = AtomicMeasure(rng.uniform(-5, 5, size=(50, 1)), np.ones(50))
+    # the second box leaves most atoms, and for fine layers every range, outside
+    for box in (_default_box(mu, 2.0, 4.0), Cube(np.array([7.0]), 1.0)):
+        for j in range(-4, 8):
+            for theta in (0.125, 0.03125):
+                h = theta * 2.0 ** (-j)
+                got = _layer_candidate_grid(mu, box, j, h)
+                want = _loop_candidate_grid(mu, box, j, h)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_covering_violations_match_per_point_loop():
+    rng = np.random.default_rng(4)
+    for n, p in [(1, 2.0), (2, 3.0)]:
+        mu = AtomicMeasure(rng.uniform(-3, 3, size=(12, n)), rng.uniform(0.3, 3.0, size=12))
+        full = build_net(mu, Params(p=p))
+        # inflated net radii violate the covering bound near the atoms only
+        net = dataclasses.replace(full, radii=full.radii * 1e3)
+        X = full.working_box.lo + rng.random((300, n)) * 2 * full.working_box.half_side
+        RX = concentration_radius_batch(mu, p, X)
+        bound = 83.0 * (1.0 + net.delta_grid)
+        want = []
+        for i in range(X.shape[0]):
+            lhs = net.covering_lhs(X[i])
+            if lhs > bound * RX[i] * (1 + 1e-12):
+                want.append((X[i], lhs / RX[i], bound))
+        got = covering_violations(net, mu, X)
+        assert 0 < len(want) < X.shape[0] and len(got) == len(want)
+        for (x1, r1, b1), (x2, r2, b2) in zip(got, want):
+            assert np.array_equal(x1, x2) and r1 == r2 and b1 == b2
+
+
+def test_build_net_logs_one_info_line(caplog):
+    rng = np.random.default_rng(2)
+    m = 3 * _WINDOW
+    mu = AtomicMeasure(rng.uniform(0, 1, size=(m, 1)), np.full(m, 0.01))
+    with caplog.at_level(logging.INFO, logger="sumspace.concentration"):
+        net = build_net(mu, Params(p=2.0))
+    (record,) = [r for r in caplog.records if r.name == "sumspace.concentration"]
+    msg = record.getMessage()
+    assert msg.startswith(f"net: m={m} n=1 p=2, layers ")
+    assert f"{net.size} points, 1 rounds, theta 0.125" in msg
+    widened = int(msg.split(" widened radius rows")[0].rsplit(" ", 1)[1])
+    assert widened > 0
+    caplog.clear()
+    with caplog.at_level(logging.ERROR, logger="sumspace.concentration"):
+        build_net(mu, Params(p=2.0))
+    assert not caplog.records
+
+
+def test_build_net_memory_scales_with_atoms():
+    # the dense all-pairs build needed several GiB here
+    rng = np.random.default_rng(0)
+    m = 512
+    mu = AtomicMeasure(rng.uniform(0, 1, size=(m, 1)), 2.0 ** rng.uniform(-2, 2, size=m))
+    tracemalloc.start()
+    try:
+        build_net(mu, Params(p=2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
