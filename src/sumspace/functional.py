@@ -23,6 +23,7 @@ traces two-sided K-functional estimates.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -31,7 +32,7 @@ import numpy as np
 
 from .concentration import ConcentrationNet, Params, build_net
 from .decompose import build_extension, estimate_sobolev_seminorm, mu_norm_f2
-from .geometry import Cube, CubeFamily, cube_contains
+from .geometry import Cube, CubeFamily, cube_contains, greedy_disjoint, near_pairs
 from .lacunae import Lacuna, partition_lacunae, project_lacuna
 from .measure import AtomicMeasure, lp_norm
 from .whitney import PartitionOfUnity, WhitneyCover, assign_anchors, build_whitney
@@ -49,6 +50,8 @@ __all__ = [
     "k_curve",
     "build_pipeline",
 ]
+
+log = logging.getLogger("sumspace.functional")
 
 
 class Variant(Enum):
@@ -280,15 +283,9 @@ def eval_weighted_pairs(pairs: list[WeightedPair], mu: AtomicMeasure, f, p: floa
     return total
 
 
-def _cr_weight(n: float, p: float, dq: float, qp: Cube, qd: Cube, mp: float, md: float) -> float:
-    return dq ** (n - p) / ((qp.diam ** (n - p) + mp) * (qd.diam ** (n - p) + md))
-
-
-def _corner_half_cube(c: np.ndarray, h: float, corner: int) -> Cube:
-    """One of the 2^n half-cubes of Q(c, h), selected by corner index."""
-    n = len(c)
-    off = np.array([(1.0 if (corner >> d) & 1 else -1.0) for d in range(n)])
-    return Cube(c + off * h / 2.0, h / 2.0)
+def _powers(x: np.ndarray, e: float) -> np.ndarray:
+    """``x ** e`` elementwise by Python's float power, the rounding of scalar code."""
+    return np.array([v**e for v in x.tolist()], dtype=float)
 
 
 def build_reference_family(
@@ -306,144 +303,132 @@ def build_reference_family(
     paired with themselves.  Collisions are resolved greedily with net cubes
     kept first.  The weighted set-pair list adds the per-lacuna terms
     ``(union of member cubes, projected net cube, 1/mass)``.
+
+    Members are held as arrays (centers, half sides, pool keys); pool key
+    ``k < net.size`` is net cube ``k`` and ``net.size + i`` is cover cube
+    ``i``.  Cubes meeting each other or a net cube are found by range joins
+    (``near_pairs``), so the cost follows the number of such contacts.
     """
     p, n = params.p, mu.n
     eta = params.eta
     E, R = net.points, net.radii
+    C, H = cover.centers, cover.halves
     anchors = cover.anchors
     if anchors is None:
         raise ValueError("cover has no anchors")
     tilde_cube = [Cube(E[i], float(R[i])) for i in range(net.size)]
+    key_c = np.concatenate([E, C])
+    key_h = np.concatenate([R, H])
 
-    # Whitney cubes clear of every shrunken net cube
-    away = []
-    for i in range(cover.size):
-        gaps = np.max(
-            np.maximum(np.abs(E - cover.centers[i]) - cover.halves[i], 0.0), axis=1
-        )
-        if np.all(gaps > eta * R / 2.0):
-            away.append(i)
+    # Whitney cubes clear of every shrunken net cube: no net point e with
+    # dist(Q, e) <= eta R(e) / 2
+    thr = eta * R / 2.0
+    rows, pts = near_pairs(C, H, E, thr)
+    near = np.max(np.abs(E[pts] - C[rows]), axis=1) - H[rows] <= thr[pts]
+    is_away = np.ones(cover.size, dtype=bool)
+    is_away[rows[near]] = False
+    away = np.nonzero(is_away)[0]
 
-    members: list[tuple[Cube, Cube, Cube, str]] = []  # (Q, Q', Q'', tag)
-
-    # group 1: planted cubes inside T_K = half of a corner half-cube
-    for i in away:
-        c, h = cover.centers[i], cover.halves[i]
-        nbrs = [int(j) for j in cover.neighbors[i] if anchors[int(j)] != anchors[i]]
-        if not nbrs:
-            continue
-        t_cube = _corner_half_cube(c, h, 0).scaled(0.5)
-        m = len(nbrs)
-        g = max(1, int(math.ceil(m ** (1.0 / n))))
-        cells = []
-        tc, th = t_cube.center, t_cube.half_side
-        step = 2.0 * th / g
-        if n == 1:
-            for a in range(g):
-                cells.append(Cube(np.array([tc[0] - th + (a + 0.5) * step]), step / 4.0))
-        else:
-            for a in range(g):
-                for b in range(g):
-                    cells.append(
-                        Cube(
-                            np.array(
-                                [tc[0] - th + (a + 0.5) * step, tc[1] - th + (b + 0.5) * step]
-                            ),
-                            step / 4.0,
-                        )
-                    )
-        for j, cell in zip(nbrs, cells):
-            members.append((cell, tilde_cube[anchors[j]], tilde_cube[anchors[i]], "anchored"))
+    # group 1: planted cubes inside T_K = half of the lower corner half-cube,
+    # one per neighbor with another anchor, on a g^n grid in row-major order
+    deg = np.array([len(nb) for nb in cover.neighbors])
+    src = np.repeat(np.arange(cover.size), deg)
+    dst = np.concatenate(cover.neighbors).astype(np.intp)
+    sel = is_away[src] & (anchors[dst] != anchors[src])
+    src, dst = src[sel], dst[sel]
+    count = np.bincount(src, minlength=cover.size)
+    rank = np.arange(src.shape[0]) - (np.cumsum(count) - count)[src]
+    g_of = {m: max(1, int(math.ceil(m ** (1.0 / n)))) for m in np.unique(count[src]).tolist()}
+    g = np.array([g_of[m] for m in count[src].tolist()], dtype=np.intp)
+    h = H[src]
+    tc = C[src] - (h / 2.0)[:, None]
+    th = 0.5 * (h / 2.0)
+    step = 2.0 * th / g
+    digits = np.stack([(rank // g ** (n - 1 - ax)) % g for ax in range(n)], axis=1)
+    cell_c = (tc - th[:, None]) + (digits + 0.5) * step[:, None]
+    cell_h = step / 4.0
 
     # group 2: shifted half-cubes carrying cube-vs-anchored-cube oscillation
-    for i in away:
-        c, h = cover.centers[i], cover.halves[i]
-        rep = _corner_half_cube(c, h, (1 << n) - 1).scaled(0.5)
-        members.append((rep, cover.cube(i), tilde_cube[anchors[i]], "residual"))
+    rep_c = C[away] + (H[away] / 2.0)[:, None]
+    rep_h = 0.5 * (H[away] / 2.0)
 
-    # group 3: net cubes paired with themselves
-    for k in range(net.size):
-        members.append((tilde_cube[k], tilde_cube[k], tilde_cube[k], "net"))
+    # members in priority order: net cubes (paired with themselves), planted,
+    # residual; Q' and Q'' as pool keys
+    net_ids = np.arange(net.size)
+    q_c = np.concatenate([E, cell_c, rep_c])
+    q_h = np.concatenate([R, cell_h, rep_h])
+    p_key = np.concatenate([net_ids, anchors[dst], net.size + away])
+    d_key = np.concatenate([net_ids, anchors[src], anchors[away]])
+    tags = ("net",) * net.size + ("anchored",) * src.shape[0] + ("residual",) * away.shape[0]
 
     # greedy collision resolution, net cubes first, then planted, then residual
-    priority = {"net": 0, "anchored": 1, "residual": 2}
-    members.sort(key=lambda t: priority[t[3]])
-    kept: list[tuple[Cube, Cube, Cube, str]] = []
-    kept_c = np.zeros((0, n))
-    kept_h = np.zeros(0)
-    dropped = 0
-    for q, qp, qd, tag in members:
-        if kept_h.size:
-            clash = np.any(
-                np.all(np.abs(q.center[None, :] - kept_c) <= (q.half_side + kept_h)[:, None], axis=1)
-            )
-        else:
-            clash = False
-        if clash:
-            dropped += 1
-        else:
-            kept.append((q, qp, qd, tag))
-            kept_c = np.concatenate([kept_c, q.center[None, :]], axis=0)
-            kept_h = np.append(kept_h, q.half_side)
+    kept = np.nonzero(greedy_disjoint(q_c, q_h))[0]
+    dropped = q_h.shape[0] - kept.shape[0]
+    kc, kh, p_key, d_key = q_c[kept], q_h[kept], p_key[kept], d_key[kept]
 
-    fam = CubeFamily([t[0] for t in kept])
-    pool_cubes: list[Cube] = []
-    pool_index: dict[int, int] = {}
+    # pool: Q' keys, then Q'' keys, numbered in order of first appearance
+    keys = np.concatenate([p_key, d_key])
+    uniq, first = np.unique(keys, return_index=True)
+    order = np.argsort(first)
+    pool_keys = uniq[order]
+    pool_id = np.empty(uniq.shape[0], dtype=np.intp)
+    pool_id[order] = np.arange(uniq.shape[0])
+    prime, dprime = np.split(pool_id[np.searchsorted(uniq, keys)], 2)
+    away_cube = {i: cover.cube(i) for i in away.tolist()}
+    pool_cubes = [
+        tilde_cube[k] if k < net.size else away_cube[k - net.size] for k in pool_keys.tolist()
+    ]
+    fam = CubeFamily([Cube(c, hh) for c, hh in zip(kc, kh.tolist())])
+    fa = FamilyAssignment(fam, prime.tolist(), dprime.tolist(), CubeFamily(pool_cubes))
 
-    def pool_id(q: Cube) -> int:
-        key = id(q)
-        if key not in pool_index:
-            pool_index[key] = len(pool_cubes)
-            pool_cubes.append(q)
-        return pool_index[key]
-
-    prime = [pool_id(t[1]) for t in kept]
-    dprime = [pool_id(t[2]) for t in kept]
-    pool = CubeFamily(pool_cubes)
-    fa = FamilyAssignment(fam, prime, dprime, pool)
-
-    gamma_needed = 1.0
-    for k, (q, qp, qd, tag) in enumerate(kept):
-        for qq in (qp, qd):
-            need = float(np.max(np.abs(qq.center - q.center) + qq.half_side) / q.half_side)
-            gamma_needed = max(gamma_needed, need)
+    need = [np.max(np.abs(key_c[k] - kc) + key_h[k][:, None], axis=1) / kh for k in (p_key, d_key)]
+    gamma_needed = max(1.0, float(np.max(need)))
 
     # covering multiplicity of the pool (sampled at cube corners and centers)
     mult = 1
-    if len(pool_cubes) > 1:
-        pc = np.array([q.center for q in pool_cubes])
-        ph = np.array([q.half_side for q in pool_cubes])
+    pc, ph = key_c[pool_keys], key_h[pool_keys]
+    if pool_keys.shape[0] > 1:
         probes = np.concatenate([pc, pc + ph[:, None], pc - ph[:, None]], axis=0)
-        inside = np.all(
-            np.abs(probes[:, None, :] - pc[None, :, :]) <= ph[None, :, None], axis=2
-        )
-        mult = int(inside.sum(axis=1).max())
+        at, cube = near_pairs(probes, np.zeros(probes.shape[0]), pc, ph)
+        inside = np.all(np.abs(probes[at] - pc[cube]) <= ph[cube][:, None], axis=1)
+        mult = int(np.bincount(at[inside]).max())
 
     # weighted set-pair list: anchored + net terms with the CR weight,
     # plus the lacuna terms (member union vs projected net cube, 1/mass)
-    pairs: list[WeightedPair] = []
-    for q, qp, qd, tag in kept:
-        mp, md = mu.mass(qp), mu.mass(qd)
-        lam = _cr_weight(n, p, q.diam, qp, qd, mp, md)
-        pairs.append(WeightedPair(lam, [qp], [qd], tag))
-    away_set = set(away)
+    mass_keys = np.union1d(net_ids, pool_keys)
+    key_mass = np.zeros(key_h.shape[0])
+    key_mass[mass_keys] = mu.mass_many(key_c[mass_keys], key_h[mass_keys])
+    mp, md = key_mass[p_key], key_mass[d_key]
+    pool_pow = _powers(2.0 * ph, n - p)
+    lam = _powers(2.0 * kh, n - p) / ((pool_pow[prime] + mp) * (pool_pow[dprime] + md))
+    pairs = [
+        WeightedPair(w, [pool_cubes[a]], [pool_cubes[b]], tags[k])
+        for w, a, b, k in zip(lam.tolist(), prime.tolist(), dprime.tolist(), kept.tolist())
+    ]
     for lac in lacunae:
         if lac.projection is None:
             project_lacuna(lac, net, cover)
-        k_cube = tilde_cube[int(lac.projection)]
-        mass = mu.mass(k_cube)
-        member_cubes = [cover.cube(i) for i in lac.ids if i in away_set]
+        mass = float(key_mass[lac.projection])
+        member_cubes = [away_cube[i] for i in lac.ids if i in away_cube]
         if not member_cubes or mass <= 0:
             continue
+        k_cube = tilde_cube[lac.projection]
         pairs.append(WeightedPair(1.0 / mass, member_cubes, [k_cube], "lacuna"))
 
+    kept_tags = [tags[k] for k in kept.tolist()]
+    per_tag = {t: kept_tags.count(t) for t in ("net", "anchored", "residual")}
+    log.info(
+        "reference family: %d net, %d anchored, %d residual members, %d dropped, "
+        "pool %d, multiplicity %d, gamma_needed %g, %d pairs",
+        *per_tag.values(), dropped, len(pool_cubes), mult, gamma_needed, len(pairs),
+    )
     return ReferenceFamily(
         assignment=fa,
         pairs=pairs,
         gamma_needed=gamma_needed,
         pool_multiplicity=mult,
         dropped=dropped,
-        meta={"members": len(kept), "per_tag": {t: sum(1 for k in kept if k[3] == t) for t in priority}},
+        meta={"members": int(kept.shape[0]), "per_tag": per_tag},
     )
 
 

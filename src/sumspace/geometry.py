@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = [
     "as_point",
@@ -24,6 +25,8 @@ __all__ = [
     "dist_cube_point",
     "dist_cube_cube",
     "dist_cube_set",
+    "near_pairs",
+    "greedy_disjoint",
     "select_min_disjoint",
     "color_disjoint",
     "DegreeBoundError",
@@ -45,10 +48,12 @@ class DegreeBoundError(ValueError):
 
 def as_point(x) -> np.ndarray:
     """Coerce to a finite 1-d float64 coordinate vector."""
-    p = np.atleast_1d(np.asarray(x, dtype=float))
+    p = np.asarray(x, dtype=float)
+    if p.ndim == 0:
+        p = p.reshape(1)
     if p.ndim != 1:
         raise ValueError(f"point must be one-dimensional, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("point coordinates must be finite")
     return p
 
@@ -173,6 +178,87 @@ def dist_cube_set(q: Cube, pts) -> float:
         raise ValueError(f"dimension mismatch: {pts.shape[1]} vs {q.dim}")
     gaps = np.maximum(np.abs(pts - q.center) - q.half_side, 0.0)
     return float(np.min(np.max(gaps, axis=1)))
+
+
+# fewest cubes in a band of ``near_pairs``: below it, the fixed cost of a tree
+# join outweighs the candidates a finer band would save, so neighbouring
+# exponents are merged (a 1d suite cover of about 45 cubes becomes one band)
+_MIN_BAND = 64
+
+
+def _bands(centers: np.ndarray, halves: np.ndarray) -> list:
+    """``(indices, tree, largest half side)`` per band of binary exponents of the half side."""
+    if halves.size == 0:
+        return []
+    expo = np.frexp(halves)[1]
+    order = np.argsort(expo, kind="stable")
+    cuts, last = [], 0
+    for cut in (np.nonzero(np.diff(expo[order]))[0] + 1).tolist():
+        if cut - last >= _MIN_BAND and order.size - cut >= _MIN_BAND:
+            cuts.append(cut)
+            last = cut
+    return [(g, cKDTree(centers[g]), float(halves[g].max())) for g in np.split(order, cuts)]
+
+
+def near_pairs(ca, ha, cb=None, hb=None) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate pairs of cubes ``Q(ca[i], ha[i])`` and ``Q(cb[j], hb[j])`` that may meet.
+
+    Returns index arrays ``(i, j)``, sorted by ``i`` and then ``j``, that hold
+    every pair with ``|ca[i] - cb[j]|_inf <= (1 + 1e-6) (ha[i] + hb[j])`` and
+    possibly some farther ones, so callers apply their exact test to them.
+    Without ``cb, hb`` the family is paired with itself (``i == j`` included).
+    Half sides may be zero (points).  Each side is split into bands of
+    neighbouring binary exponents of the half side (one exponent each,
+    unless a band would hold fewer than ``_MIN_BAND`` cubes), and each pair
+    of bands is one sup-norm range join of two ``cKDTree``s at the bands'
+    largest reach, so the cost follows the number of pairs returned, not
+    the product of the sizes.
+    Tree pruning compares rounded coordinate differences monotonically, so
+    no pair inside the reach is lost to rounding.
+    """
+    ca, ha = np.asarray(ca, dtype=float), np.asarray(ha, dtype=float)
+    I, J = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    bands_a = _bands(ca, ha)
+    if cb is not None:
+        cb, hb = np.asarray(cb, dtype=float), np.asarray(hb, dtype=float)
+    bands_b = bands_a if cb is None else _bands(cb, hb)
+    for x, (ga, tree_a, reach_a) in enumerate(bands_a):
+        for y, (gb, tree_b, reach_b) in enumerate(bands_b):
+            if cb is None and y < x:
+                continue  # a self join finds these pairs mirrored, from band y
+            hits = tree_a.sparse_distance_matrix(
+                tree_b, (1.0 + 1e-6) * (reach_a + reach_b), p=np.inf, output_type="ndarray"
+            )
+            i, j = ga[hits["i"]], gb[hits["j"]]
+            I.append(i)
+            J.append(j)
+            if cb is None and y > x:
+                I.append(j)
+                J.append(i)
+    I, J = np.concatenate(I), np.concatenate(J)
+    order = np.lexsort((J, I))
+    return I[order], J[order]
+
+
+def greedy_disjoint(centers, halves) -> np.ndarray:
+    """Mask of the closed cubes a greedy pass in index order keeps.
+
+    A cube is kept unless it meets an earlier kept cube.  The meeting pairs
+    come from ``near_pairs``; the pass visits only cubes that meet an
+    earlier one, in index order, so every earlier verdict is final.
+    """
+    later, earlier = near_pairs(centers, halves)
+    meet = (earlier < later) & np.all(
+        np.abs(centers[later] - centers[earlier]) <= (halves[later] + halves[earlier])[:, None],
+        axis=1,
+    )
+    later, earlier = later[meet], earlier[meet]
+    keep = np.ones(halves.shape[0], dtype=bool)
+    heads, first = np.unique(later, return_index=True)
+    bounds = first.tolist() + [later.shape[0]]
+    for j, a, b in zip(heads.tolist(), bounds[:-1], bounds[1:]):
+        keep[j] = not keep[earlier[a:b]].any()
+    return keep
 
 
 class CubeFamily:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .measure import AtomicMeasure
 
-__all__ = ["Instance", "random_instance", "suite_1d", "suite_2d"]
+__all__ = ["Instance", "random_instance", "suite_1d", "suite_2d", "heavy_grid"]
 
 
 @dataclass
@@ -56,3 +56,10 @@ def suite_2d(count: int = 50, base_seed: int = 5000) -> list[Instance]:
     return [
         random_instance(base_seed + i, 2, 8, (2.5, 3.0)) for i in range(count)
     ]
+
+
+def heavy_grid(k: int, n: int = 2) -> AtomicMeasure:
+    """``k^n`` atoms of weight 100 at the integer points of ``[0, k-1]^n``."""
+    axes = np.meshgrid(*([np.arange(k, dtype=float)] * n), indexing="ij")
+    pos = np.stack([a.ravel() for a in axes], axis=1)
+    return AtomicMeasure(pos, np.full(pos.shape[0], 100.0))

@@ -18,13 +18,14 @@ The partition of unity uses per-axis C^2 quintic ramps supported on
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .concentration import ConcentrationNet, Params
-from .geometry import Cube, CubeFamily
+from .geometry import Cube, CubeFamily, near_pairs
 
 __all__ = [
     "WhitneyCover",
@@ -36,6 +37,8 @@ __all__ = [
     "AnchorError",
     "PartitionDomainError",
 ]
+
+log = logging.getLogger("sumspace.whitney")
 
 
 class DepthLimitError(RuntimeError):
@@ -216,23 +219,23 @@ def build_whitney(net: ConcentrationNet, max_depth: int = 60) -> WhitneyCover:
     order = np.lexsort((*centers.T[::-1], levels))
     centers, halves, levels = centers[order], halves[order], levels[order]
 
-    # closed-cube adjacency (chunked pairwise test); the relative slack heals
-    # one-ulp rounding of mixed-level half sums, and cannot create false
-    # neighbors because disjoint cubes are separated by at least a quarter of
-    # the smaller width
+    # closed-cube adjacency, tested on the candidate pairs of a range join;
+    # the relative slack heals one-ulp rounding of mixed-level half sums, and
+    # cannot create false neighbors because disjoint cubes are separated by
+    # at least a quarter of the smaller width
     N = centers.shape[0]
-    neighbors: list[np.ndarray] = []
-    chunk = max(1, int(2e6 // max(N, 1)))
-    adj_rows = []
-    for s in range(0, N, chunk):
-        e = min(N, s + chunk)
-        hsum = (halves[s:e, None] + halves[None, :])[..., None]
-        gaps = np.abs(centers[s:e, None, :] - centers[None, :, :]) - hsum
-        adj_rows.append(np.all(gaps <= 1e-9 * hsum, axis=2))
-    adj = np.concatenate(adj_rows, axis=0)
-    np.fill_diagonal(adj, False)
-    for i in range(N):
-        neighbors.append(np.nonzero(adj[i])[0])
+    rows, cols = near_pairs(centers, halves)
+    rows, cols = rows[rows != cols], cols[rows != cols]
+    hsum = (halves[rows] + halves[cols])[:, None]
+    touch = np.all(np.abs(centers[rows] - centers[cols]) - hsum <= 1e-9 * hsum, axis=1)
+    cols = cols[touch]
+    ends = np.cumsum(np.bincount(rows[touch], minlength=N)).tolist()
+    neighbors = [cols[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    log.info(
+        "whitney: %d cubes, %d holes, levels %d..%d, %d adjacency edges, "
+        "%d candidate pairs",
+        N, holes_h.shape[0], levels[0], levels[-1], cols.shape[0] // 2, rows.shape[0],
+    )
 
     on_edge = np.any(
         np.abs(centers - box.center) + halves[:, None] >= box.half_side * (1 - 1e-15),

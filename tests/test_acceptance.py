@@ -52,13 +52,6 @@ def _verdict(num, name, ok, detail=""):
     assert ok, line
 
 
-def _mass_many(mu, centers, halves):
-    """Exact masses of many cubes at once."""
-    d = np.max(np.abs(centers[:, None, :] - mu.positions[None, :, :]), axis=2)
-    inside = d <= halves[:, None]
-    return inside @ mu.weights
-
-
 class RatioFacts:
     """Oracle, decomposition cost and family value for one 1d instance."""
 
@@ -105,15 +98,15 @@ class InstanceFacts:
 
         # criterion 1: net cube mass bounds, Whitney mass and geometry, separation
         d = 2.0 * net.radii
-        masses = _mass_many(mu, net.points, net.radii)
+        masses = mu.mass_many(net.points, net.radii)
         lo = 2.0 ** (p - mu.n) * d ** (mu.n - p)
         hi = 2.0 ** (15.0 * p) * d ** (mu.n - p)
         self.ok_pr5k = bool(
             np.all(masses >= lo * (1 - REL_SLACK)) and np.all(masses <= hi * (1 + REL_SLACK))
         )
-        m5 = _mass_many(mu, net.points, 5.0 * net.radii)
+        m5 = mu.mass_many(net.points, 5.0 * net.radii)
         self.ok_5k = bool(np.all(m5 <= 2.0 ** (14.0 * p) * masses * (1 + REL_SLACK)))
-        wm = _mass_many(mu, cover.centers, cover.halves)
+        wm = mu.mass_many(cover.centers, cover.halves)
         wq_bound = 84.0**p * cover.halves ** (mu.n - p)
         self.ok_wqm = bool(np.all(wm <= wq_bound * (1 + REL_SLACK)))
         gaps = np.abs(cover.centers[:, None, :] - net.points[None, :, :]) - cover.halves[

@@ -1,14 +1,18 @@
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sumspace.concentration import Params
+from sumspace.concentration import Params, build_net
 from sumspace.functional import (
     FamilyAssignment,
     FamilyValidationError,
     KCurvePoint,
+    ReferenceFamily,
     Variant,
+    WeightedPair,
     build_pipeline,
     build_reference_family,
     default_t_grid,
@@ -20,8 +24,11 @@ from sumspace.functional import (
     validate_family,
 )
 from sumspace.geometry import Cube, CubeFamily
+from sumspace.instances import heavy_grid, suite_1d, suite_2d
+from sumspace.lacunae import partition_lacunae, project_lacuna
 from sumspace.measure import AtomicMeasure
 from sumspace.oracle1d import OracleProblem, sigma_norm_exact
+from sumspace.whitney import assign_anchors, build_whitney
 
 
 def two_atom():
@@ -297,3 +304,240 @@ def test_upper_estimate_positive():
     u = upper_estimate(mu, [0.0, 1.0], prm)
     oracle, _ = sigma_norm_exact(OracleProblem.from_measure(mu, [0.0, 1.0], 2.0))
     assert oracle <= u + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# reference implementation: the object-per-cube reference family with its
+# O(k^2) collision loop and dense pool probe, kept to pin the array version
+
+
+def _cr_weight(n, p, dq, qp, qd, mp, md):
+    return dq ** (n - p) / ((qp.diam ** (n - p) + mp) * (qd.diam ** (n - p) + md))
+
+
+def _corner_half_cube(c, h, corner):
+    """One of the 2^n half-cubes of Q(c, h), selected by corner index."""
+    n = len(c)
+    off = np.array([(1.0 if (corner >> d) & 1 else -1.0) for d in range(n)])
+    return Cube(c + off * h / 2.0, h / 2.0)
+
+
+def _dense_reference_family(mu, net, cover, lacunae, params):
+    """``build_reference_family`` as one ``Cube`` object per member and pool cube."""
+    p, n = params.p, mu.n
+    eta = params.eta
+    E, R = net.points, net.radii
+    anchors = cover.anchors
+    if anchors is None:
+        raise ValueError("cover has no anchors")
+    tilde_cube = [Cube(E[i], float(R[i])) for i in range(net.size)]
+
+    # Whitney cubes clear of every shrunken net cube
+    away = []
+    for i in range(cover.size):
+        gaps = np.max(
+            np.maximum(np.abs(E - cover.centers[i]) - cover.halves[i], 0.0), axis=1
+        )
+        if np.all(gaps > eta * R / 2.0):
+            away.append(i)
+
+    members: list[tuple[Cube, Cube, Cube, str]] = []  # (Q, Q', Q'', tag)
+
+    # group 1: planted cubes inside T_K = half of a corner half-cube
+    for i in away:
+        c, h = cover.centers[i], cover.halves[i]
+        nbrs = [int(j) for j in cover.neighbors[i] if anchors[int(j)] != anchors[i]]
+        if not nbrs:
+            continue
+        t_cube = _corner_half_cube(c, h, 0).scaled(0.5)
+        m = len(nbrs)
+        g = max(1, int(math.ceil(m ** (1.0 / n))))
+        cells = []
+        tc, th = t_cube.center, t_cube.half_side
+        step = 2.0 * th / g
+        if n == 1:
+            for a in range(g):
+                cells.append(Cube(np.array([tc[0] - th + (a + 0.5) * step]), step / 4.0))
+        else:
+            for a in range(g):
+                for b in range(g):
+                    cells.append(
+                        Cube(
+                            np.array(
+                                [tc[0] - th + (a + 0.5) * step, tc[1] - th + (b + 0.5) * step]
+                            ),
+                            step / 4.0,
+                        )
+                    )
+        for j, cell in zip(nbrs, cells):
+            members.append((cell, tilde_cube[anchors[j]], tilde_cube[anchors[i]], "anchored"))
+
+    # group 2: shifted half-cubes carrying cube-vs-anchored-cube oscillation
+    for i in away:
+        c, h = cover.centers[i], cover.halves[i]
+        rep = _corner_half_cube(c, h, (1 << n) - 1).scaled(0.5)
+        members.append((rep, cover.cube(i), tilde_cube[anchors[i]], "residual"))
+
+    # group 3: net cubes paired with themselves
+    for k in range(net.size):
+        members.append((tilde_cube[k], tilde_cube[k], tilde_cube[k], "net"))
+
+    # greedy collision resolution, net cubes first, then planted, then residual
+    priority = {"net": 0, "anchored": 1, "residual": 2}
+    members.sort(key=lambda t: priority[t[3]])
+    kept: list[tuple[Cube, Cube, Cube, str]] = []
+    kept_c = np.zeros((0, n))
+    kept_h = np.zeros(0)
+    dropped = 0
+    for q, qp, qd, tag in members:
+        if kept_h.size:
+            clash = np.any(
+                np.all(np.abs(q.center[None, :] - kept_c) <= (q.half_side + kept_h)[:, None], axis=1)
+            )
+        else:
+            clash = False
+        if clash:
+            dropped += 1
+        else:
+            kept.append((q, qp, qd, tag))
+            kept_c = np.concatenate([kept_c, q.center[None, :]], axis=0)
+            kept_h = np.append(kept_h, q.half_side)
+
+    fam = CubeFamily([t[0] for t in kept])
+    pool_cubes: list[Cube] = []
+    pool_index: dict[int, int] = {}
+
+    def pool_id(q: Cube) -> int:
+        key = id(q)
+        if key not in pool_index:
+            pool_index[key] = len(pool_cubes)
+            pool_cubes.append(q)
+        return pool_index[key]
+
+    prime = [pool_id(t[1]) for t in kept]
+    dprime = [pool_id(t[2]) for t in kept]
+    pool = CubeFamily(pool_cubes)
+    fa = FamilyAssignment(fam, prime, dprime, pool)
+
+    gamma_needed = 1.0
+    for k, (q, qp, qd, tag) in enumerate(kept):
+        for qq in (qp, qd):
+            need = float(np.max(np.abs(qq.center - q.center) + qq.half_side) / q.half_side)
+            gamma_needed = max(gamma_needed, need)
+
+    # covering multiplicity of the pool (sampled at cube corners and centers)
+    mult = 1
+    if len(pool_cubes) > 1:
+        pc = np.array([q.center for q in pool_cubes])
+        ph = np.array([q.half_side for q in pool_cubes])
+        probes = np.concatenate([pc, pc + ph[:, None], pc - ph[:, None]], axis=0)
+        inside = np.all(
+            np.abs(probes[:, None, :] - pc[None, :, :]) <= ph[None, :, None], axis=2
+        )
+        mult = int(inside.sum(axis=1).max())
+
+    # weighted set-pair list: anchored + net terms with the CR weight,
+    # plus the lacuna terms (member union vs projected net cube, 1/mass)
+    pairs: list[WeightedPair] = []
+    for q, qp, qd, tag in kept:
+        mp, md = mu.mass(qp), mu.mass(qd)
+        lam = _cr_weight(n, p, q.diam, qp, qd, mp, md)
+        pairs.append(WeightedPair(lam, [qp], [qd], tag))
+    away_set = set(away)
+    for lac in lacunae:
+        if lac.projection is None:
+            project_lacuna(lac, net, cover)
+        k_cube = tilde_cube[int(lac.projection)]
+        mass = mu.mass(k_cube)
+        member_cubes = [cover.cube(i) for i in lac.ids if i in away_set]
+        if not member_cubes or mass <= 0:
+            continue
+        pairs.append(WeightedPair(1.0 / mass, member_cubes, [k_cube], "lacuna"))
+
+    return ReferenceFamily(
+        assignment=fa,
+        pairs=pairs,
+        gamma_needed=gamma_needed,
+        pool_multiplicity=mult,
+        dropped=dropped,
+        meta={"members": len(kept), "per_tag": {t: sum(1 for k in kept if k[3] == t) for t in priority}},
+    )
+
+
+def _cube_bytes(cubes):
+    return [(q.center.tobytes(), np.float64(q.half_side).tobytes()) for q in cubes]
+
+
+def _assert_same_family(got, want):
+    """Bit equality of every field of two reference families."""
+    a, b = got.assignment, want.assignment
+    assert _cube_bytes(a.family) == _cube_bytes(b.family)
+    assert _cube_bytes(a.pool) == _cube_bytes(b.pool)
+    assert a.prime == b.prime and a.dprime == b.dprime
+    assert [type(i) for i in a.prime + a.dprime] == [type(i) for i in b.prime + b.dprime]
+    assert len(got.pairs) == len(want.pairs)
+    for x, y in zip(got.pairs, want.pairs):
+        assert x.tag == y.tag and type(x.lam) is type(y.lam)
+        assert np.float64(x.lam).tobytes() == np.float64(y.lam).tobytes()
+        assert _cube_bytes(x.G) == _cube_bytes(y.G) and _cube_bytes(x.H) == _cube_bytes(y.H)
+    assert np.float64(got.gamma_needed).tobytes() == np.float64(want.gamma_needed).tobytes()
+    assert got.pool_multiplicity == want.pool_multiplicity
+    assert got.dropped == want.dropped
+    assert got.meta == want.meta
+
+
+def _assert_family_matches_dense(mu, p):
+    prm = Params(p=p)
+    net, cover, _, lacs = build_pipeline(mu, prm)
+    got = build_reference_family(mu, net, cover, lacs, prm)
+    want = _dense_reference_family(mu, net, cover, partition_lacunae(cover, net), prm)
+    _assert_same_family(got, want)
+    return got
+
+
+def test_reference_family_matches_dense_on_suites():
+    for inst in suite_1d() + suite_2d():
+        _assert_family_matches_dense(inst.mu, inst.p)
+
+
+@pytest.mark.parametrize("n,p", [(1, 1.5), (1, 3.0), (2, 3.0)])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_reference_family_matches_dense_on_heavy_grids(k, n, p):
+    ref = _assert_family_matches_dense(heavy_grid(k, n), p)
+    assert ref.dropped > 0 and ref.pool_multiplicity > 1
+
+
+def test_reference_family_logs_one_info_line(caplog):
+    mu = heavy_grid(3, 2)
+    prm = Params(p=3.0)
+    net, cover, _, lacs = build_pipeline(mu, prm)
+    with caplog.at_level(logging.INFO, logger="sumspace.functional"):
+        ref = build_reference_family(mu, net, cover, lacs, prm)
+    (record,) = [r for r in caplog.records if r.name == "sumspace.functional"]
+    tags = ref.meta["per_tag"]
+    assert record.getMessage() == (
+        f"reference family: {tags['net']} net, {tags['anchored']} anchored, "
+        f"{tags['residual']} residual members, {ref.dropped} dropped, "
+        f"pool {len(ref.assignment.pool)}, multiplicity {ref.pool_multiplicity}, "
+        f"gamma_needed {ref.gamma_needed:g}, {len(ref.pairs)} pairs"
+    )
+    caplog.clear()
+    with caplog.at_level(logging.ERROR, logger="sumspace.functional"):
+        build_reference_family(mu, net, cover, partition_lacunae(cover, net), prm)
+    assert not caplog.records
+
+
+def test_geometry_memory_scales_with_cubes():
+    # the all-pairs adjacency block and the pool probe array each needed
+    # over 100 MiB here (5748 cubes, 2154 pool cubes)
+    mu = heavy_grid(4, 2)
+    prm = Params(p=3.0)
+    net = build_net(mu, prm)
+    tracemalloc.start()
+    try:
+        cover = assign_anchors(build_whitney(net), net, prm)
+        build_reference_family(mu, net, cover, partition_lacunae(cover, net), prm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

@@ -12,10 +12,13 @@ from sumspace.geometry import (
     cubes_intersect,
     dist_cube_point,
     dist_cube_set,
+    greedy_disjoint,
     linf_dist,
+    near_pairs,
     rho_w,
     select_min_disjoint,
 )
+from sumspace.geometry import _bands
 
 
 def test_linf_dist_basic():
@@ -157,3 +160,59 @@ def test_color_disjoint_random(n):
         for cl in classes:
             assert cl.pairwise_disjoint()
         assert sum(len(c) for c in classes) == len(fam)
+
+
+def _random_cubes(rng, k, n):
+    """Cubes on a coarse lattice with half sides over five octaves: touching
+    faces, shared centres, nested cubes and points (half side 0)."""
+    c = np.round(rng.uniform(-4, 4, size=(k, n)) * 2) / 2
+    h = 2.0 ** rng.integers(-3, 2, size=k) * (rng.random(k) > 0.1)
+    return c, h
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_near_pairs_hold_every_meeting_pair(n):
+    rng = np.random.default_rng(70 + n)
+    banded = 0
+    for _ in range(40):
+        ca, ha = _random_cubes(rng, int(rng.integers(1, 600)), n)
+        cb, hb = _random_cubes(rng, int(rng.integers(1, 600)), n)
+        banded += len(_bands(ca, ha)) > 1
+        for c2, h2 in ((cb, hb), (ca, ha)):
+            i, j = near_pairs(ca, ha, cb, hb) if c2 is cb else near_pairs(ca, ha)
+            d = np.max(np.abs(ca[:, None, :] - c2[None, :, :]), axis=2)
+            found = np.zeros(d.shape, dtype=bool)
+            found[i, j] = True
+            assert not np.any((d <= ha[:, None] + h2[None, :]) & ~found)
+            key = i * h2.shape[0] + j
+            assert np.all(np.diff(key) > 0) and i.dtype == j.dtype == np.intp
+    assert banded > 10
+
+
+def _loop_greedy_disjoint(c, h):
+    """Reference: test each cube against every kept cube before it."""
+    kept_c, kept_h, keep = np.zeros((0, c.shape[1])), np.zeros(0), []
+    for q, r in zip(c, h):
+        clash = bool(kept_h.size) and bool(
+            np.any(np.all(np.abs(q[None, :] - kept_c) <= (r + kept_h)[:, None], axis=1))
+        )
+        keep.append(not clash)
+        if not clash:
+            kept_c = np.concatenate([kept_c, q[None, :]], axis=0)
+            kept_h = np.append(kept_h, r)
+    return np.array(keep)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_greedy_disjoint_matches_loop(n):
+    rng = np.random.default_rng(80 + n)
+    chains = 0
+    for _ in range(40):
+        c, h = _random_cubes(rng, int(rng.integers(1, 300)), n)
+        h = np.where(h > 0, h, 0.25)
+        keep = greedy_disjoint(c, h)
+        assert np.array_equal(keep, _loop_greedy_disjoint(c, h))
+        # a cube kept although it meets an earlier, dropped cube
+        inter = CubeFamily([Cube(x, r) for x, r in zip(c, h)]).intersection_matrix()
+        chains += sum(keep[j] and inter[j, :j].any() for j in range(len(h)))
+    assert chains > 0

@@ -42,6 +42,47 @@ def test_mass_2d_grid_index():
         assert mu.mass(q) == pytest.approx(w[inside].sum(), abs=0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_mass_many_bit_equal_to_mass(n):
+    rng = np.random.default_rng(40 + n)
+    m = 300
+    # atoms on a 0.25 lattice, so many sit exactly on faces of the 0.25-grid
+    # cubes below; weights over 2^±30 make every summation order show
+    pos = np.round(rng.uniform(-2, 2, size=(m, n)) * 4) / 4
+    pos = pos + np.where(rng.random((m, 1)) < 0.5, 0.0, 1e-3)
+    mu = AtomicMeasure(pos, 2.0 ** rng.uniform(-30, 30, size=m))
+    lattice = np.round(rng.uniform(-2.5, 2.5, size=(200, n)) * 4) / 4
+    C = np.concatenate([
+        lattice,                                  # faces through lattice atoms
+        lattice[:20],                             # coincident cubes
+        np.full((3, n), 50.0),                    # empty cubes
+        np.zeros((4, n)),                         # one cube over most atoms
+    ])
+    H = np.concatenate([
+        rng.choice([0.25, 0.5, 0.75, 1.0], size=200),
+        rng.choice([0.25, 0.5, 0.75, 1.0], size=20),
+        np.full(3, 1.0),
+        [2.0, 1.5, 1.25, 0.5],
+    ])
+    got = mu.mass_many(C, H)
+    want = np.array([mu.mass(Cube(C[k], H[k])) for k in range(H.shape[0])])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    counts = [mu.atoms_in(Cube(C[k], H[k])).size for k in range(H.shape[0])]
+    assert min(counts) == 0 and max(counts) > 128 and sum(c > 8 for c in counts) > 100
+    on_face = np.max(np.abs(mu.positions[None, :, :] - C[:, None, :]), axis=2) == H[:, None]
+    assert on_face.sum() > 50
+    # a mask-matrix product sums in another order and misses these bits
+    inside = np.max(np.abs(C[:, None, :] - mu.positions[None, :, :]), axis=2) <= H[:, None]
+    assert not np.array_equal(inside @ mu.weights, want)
+
+
+def test_mass_many_checks_shapes():
+    mu = AtomicMeasure([[0.0, 0.0]], [1.0])
+    assert mu.mass_many(np.zeros((0, 2)), np.zeros(0)).shape == (0,)
+    with pytest.raises(ValueError, match="dimension"):
+        mu.mass_many(np.zeros((2, 1)), np.ones(2))
+
+
 def test_average():
     mu = AtomicMeasure([[0.0], [1.0]], [1.0, 1.0])
     assert average(mu, [7.0, 3.0], Cube([0.0], 0.5)) == 7.0

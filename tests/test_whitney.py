@@ -1,8 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
 from sumspace.concentration import Params, build_net
 from sumspace.geometry import Cube, cubes_intersect
+from sumspace.instances import heavy_grid, suite_1d, suite_2d
 from sumspace.measure import AtomicMeasure
 from sumspace.whitney import (
     PartitionDomainError,
@@ -272,3 +275,60 @@ def test_bump_is_product_of_axis_factors(n):
     r = cover.halves[None, :]
     s = np.clip((9 / 8 * r - np.abs(d)) / (r / 8), 0.0, 1.0)
     assert np.allclose(fs[0], s**3 * (10 - 15 * s + 6 * s**2), rtol=0, atol=1e-14)
+
+
+def _dense_neighbors(cover):
+    """Reference adjacency: the chunked all-pairs closed-cube test, one row at a time."""
+    centers, halves = cover.centers, cover.halves
+    N = centers.shape[0]
+    chunk = max(1, int(2e6 // max(N, 1)))
+    adj_rows = []
+    for s in range(0, N, chunk):
+        e = min(N, s + chunk)
+        hsum = (halves[s:e, None] + halves[None, :])[..., None]
+        gaps = np.abs(centers[s:e, None, :] - centers[None, :, :]) - hsum
+        adj_rows.append(np.all(gaps <= 1e-9 * hsum, axis=2))
+    adj = np.concatenate(adj_rows, axis=0)
+    np.fill_diagonal(adj, False)
+    return [np.nonzero(adj[i])[0] for i in range(N)]
+
+
+def _assert_neighbors_match_dense(cover):
+    want = _dense_neighbors(cover)
+    assert len(cover.neighbors) == len(want)
+    for got_i, want_i in zip(cover.neighbors, want):
+        assert got_i.dtype == np.int64 and got_i.tobytes() == want_i.tobytes()
+
+
+def test_neighbors_match_dense_on_suites():
+    for inst in suite_1d() + suite_2d():
+        cover = build_whitney(build_net(inst.mu, Params(p=inst.p)))
+        _assert_neighbors_match_dense(cover)
+
+
+@pytest.mark.parametrize("n,p", [(1, 1.5), (1, 3.0), (2, 3.0)])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_neighbors_match_dense_on_heavy_grids(k, n, p):
+    cover = build_whitney(build_net(heavy_grid(k, n), Params(p=p)))
+    # the cover reaches the working box, where no cube lies beyond the edge
+    assert cover.boundary.any() and not cover.boundary.all()
+    _assert_neighbors_match_dense(cover)
+
+
+def test_build_whitney_logs_one_info_line(caplog):
+    net = build_net(heavy_grid(3, 2), Params(p=3.0))
+    with caplog.at_level(logging.INFO, logger="sumspace.whitney"):
+        cover = build_whitney(net)
+    (record,) = [r for r in caplog.records if r.name == "sumspace.whitney"]
+    edges = sum(len(nb) for nb in cover.neighbors) // 2
+    msg = record.getMessage()
+    assert msg.startswith(
+        f"whitney: {cover.size} cubes, {cover.hole_halves.shape[0]} holes, "
+        f"levels {cover.levels.min()}..{cover.levels.max()}, {edges} adjacency edges, "
+    )
+    tested = int(msg.split(" candidate pairs")[0].rsplit(" ", 1)[1])
+    assert 2 * edges <= tested < cover.size**2 // 10
+    caplog.clear()
+    with caplog.at_level(logging.ERROR, logger="sumspace.whitney"):
+        build_whitney(net)
+    assert not caplog.records
