@@ -281,8 +281,7 @@ def _active_cubes(dec: Decomposition) -> np.ndarray:
     cover = dec.cover
     tol_active = 1e-12 * float(np.max(np.abs(dec.tilde), initial=0.0))
     v = dec.tilde[cover.anchors]
-    owner = np.repeat(np.arange(cover.size), [len(nb) for nb in cover.neighbors])
-    nb = np.concatenate(cover.neighbors).astype(int)
+    owner, nb = cover.edges()
     vmax, vmin = v.copy(), v.copy()
     np.maximum.at(vmax, owner, v[nb])
     np.minimum.at(vmin, owner, v[nb])

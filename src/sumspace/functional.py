@@ -331,9 +331,7 @@ def build_reference_family(
 
     # group 1: planted cubes inside T_K = half of the lower corner half-cube,
     # one per neighbor with another anchor, on a g^n grid in row-major order
-    deg = np.array([len(nb) for nb in cover.neighbors])
-    src = np.repeat(np.arange(cover.size), deg)
-    dst = np.concatenate(cover.neighbors).astype(np.intp)
+    src, dst = cover.edges()
     sel = is_away[src] & (anchors[dst] != anchors[src])
     src, dst = src[sel], dst[sel]
     count = np.bincount(src, minlength=cover.size)

@@ -8,6 +8,7 @@ a shared boundary counts as an intersection.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -180,24 +181,65 @@ def dist_cube_set(q: Cube, pts) -> float:
     return float(np.min(np.max(gaps, axis=1)))
 
 
-# fewest cubes in a band of ``near_pairs``: below it, the fixed cost of a tree
-# join outweighs the candidates a finer band would save, so neighbouring
-# exponents are merged (a 1d suite cover of about 45 cubes becomes one band)
+# fewest cubes for a band of ``near_pairs`` to be joined as a whole; smaller
+# runs of neighbouring exponents are merged into one band, whose cubes are
+# looked up one by one at their own half side, so that a run spread over many
+# exponents neither costs a tree join per exponent nor widens the reach of
+# the cubes it is joined with
 _MIN_BAND = 64
+
+# relative pad on every join reach: rounding of the reach sum cannot lose a pair
+_PAD = 1.0 + 1e-6
 
 
 def _bands(centers: np.ndarray, halves: np.ndarray) -> list:
-    """``(indices, tree, largest half side)`` per band of binary exponents of the half side."""
+    """``(indices, tree, largest half side)`` per band of binary exponents of the half side.
+
+    A band is one exponent with at least ``_MIN_BAND`` cubes, or a run of
+    neighbouring exponents with fewer than ``_MIN_BAND`` cubes together.
+    Points (half side 0) count as an exponent below every other.
+    """
     if halves.size == 0:
         return []
-    expo = np.frexp(halves)[1]
+    expo = np.where(halves > 0, np.frexp(halves)[1], np.iinfo(np.int32).min)
     order = np.argsort(expo, kind="stable")
-    cuts, last = [], 0
-    for cut in (np.nonzero(np.diff(expo[order]))[0] + 1).tolist():
-        if cut - last >= _MIN_BAND and order.size - cut >= _MIN_BAND:
-            cuts.append(cut)
-            last = cut
-    return [(g, cKDTree(centers[g]), float(halves[g].max())) for g in np.split(order, cuts)]
+    bounds = [0] + (np.nonzero(np.diff(expo[order]))[0] + 1).tolist() + [order.size]
+    cuts = [0]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if a > cuts[-1] and b - cuts[-1] >= _MIN_BAND:
+            cuts.append(a)  # this exponent would fill the open band: start a new one
+    return [(g, cKDTree(centers[g]), float(halves[g].max())) for g in np.split(order, cuts[1:])]
+
+
+def _join(band_a, ca, ha, band_b, cb, hb) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate pairs ``(i, j)`` of band ``a`` of ``(ca, ha)`` and band ``b`` of ``(cb, hb)``.
+
+    Two full bands (``_MIN_BAND`` cubes or more), or a band and itself,
+    meet in one range join of their trees at the sum of their reaches.
+    Otherwise the cubes of the smaller band (``b`` if both are small) are
+    looked up one by one in the other band's tree, each at its own half
+    side plus that band's reach.
+    """
+    (ga, tree_a, reach_a), (gb, tree_b, reach_b) = band_a, band_b
+    if band_a is band_b or (ga.size >= _MIN_BAND and gb.size >= _MIN_BAND):
+        hits = tree_a.sparse_distance_matrix(
+            tree_b, _PAD * (reach_a + reach_b), p=np.inf, output_type="ndarray"
+        )
+        return ga[hits["i"]], gb[hits["j"]]
+    if gb.size < _MIN_BAND:
+        j, i = _lookup(gb, cb, hb, ga, tree_a, reach_a)
+        return i, j
+    return _lookup(ga, ca, ha, gb, tree_b, reach_b)
+
+
+def _lookup(gq, cq, hq, gt, tree, reach) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``(q, t)``: cubes ``gq`` looked up in ``tree`` (of cubes ``gt``) one by one."""
+    hits = tree.query_ball_point(cq[gq], _PAD * (hq[gq] + reach), p=np.inf)
+    counts = np.fromiter(map(len, hits), dtype=np.intp, count=gq.size)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(hits), dtype=np.intp, count=int(counts.sum())
+    )
+    return np.repeat(gq, counts), gt[flat]
 
 
 def near_pairs(ca, ha, cb=None, hb=None) -> tuple[np.ndarray, np.ndarray]:
@@ -207,32 +249,33 @@ def near_pairs(ca, ha, cb=None, hb=None) -> tuple[np.ndarray, np.ndarray]:
     every pair with ``|ca[i] - cb[j]|_inf <= (1 + 1e-6) (ha[i] + hb[j])`` and
     possibly some farther ones, so callers apply their exact test to them.
     Without ``cb, hb`` the family is paired with itself (``i == j`` included).
-    Half sides may be zero (points).  Each side is split into bands of
-    neighbouring binary exponents of the half side (one exponent each,
-    unless a band would hold fewer than ``_MIN_BAND`` cubes), and each pair
-    of bands is one sup-norm range join of two ``cKDTree``s at the bands'
-    largest reach, so the cost follows the number of pairs returned, not
-    the product of the sizes.
-    Tree pruning compares rounded coordinate differences monotonically, so
-    no pair inside the reach is lost to rounding.
+    Half sides may be zero (points).  Each side is split into bands by the
+    binary exponent of the half side (``_bands``), and every pair of bands
+    is joined by ``_join``.  Within a band of one exponent the half sides
+    differ by less than a factor 2, a small band meets itself in fewer than
+    ``_MIN_BAND`` squared pairs, and a small band's cubes are looked up at
+    their own half sides elsewhere, so no join reaches much farther than the
+    cubes it pairs: the cost follows the number of pairs returned, not the
+    product of the sizes.  Tree pruning compares rounded coordinate differences
+    monotonically, so no pair inside the reach is lost to rounding.
     """
     ca, ha = np.asarray(ca, dtype=float), np.asarray(ha, dtype=float)
     I, J = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    bands_a = _bands(ca, ha)
-    if cb is not None:
+    self_join = cb is None
+    if self_join:
+        cb, hb = ca, ha
+    else:
         cb, hb = np.asarray(cb, dtype=float), np.asarray(hb, dtype=float)
-    bands_b = bands_a if cb is None else _bands(cb, hb)
-    for x, (ga, tree_a, reach_a) in enumerate(bands_a):
-        for y, (gb, tree_b, reach_b) in enumerate(bands_b):
-            if cb is None and y < x:
+    bands_a = _bands(ca, ha)
+    bands_b = bands_a if self_join else _bands(cb, hb)
+    for x, band_a in enumerate(bands_a):
+        for y, band_b in enumerate(bands_b):
+            if self_join and y < x:
                 continue  # a self join finds these pairs mirrored, from band y
-            hits = tree_a.sparse_distance_matrix(
-                tree_b, (1.0 + 1e-6) * (reach_a + reach_b), p=np.inf, output_type="ndarray"
-            )
-            i, j = ga[hits["i"]], gb[hits["j"]]
+            i, j = _join(band_a, ca, ha, band_b, cb, hb)
             I.append(i)
             J.append(j)
-            if cb is None and y > x:
+            if self_join and y > x:
                 I.append(j)
                 J.append(i)
     I, J = np.concatenate(I), np.concatenate(J)

@@ -87,6 +87,11 @@ class WhitneyCover:
     def max_degree(self) -> int:
         return max((len(nb) for nb in self.neighbors), default=0)
 
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Directed adjacency ``(i, j)`` for every ``j`` in ``neighbors[i]``, by ``i`` then ``j``."""
+        src = np.repeat(np.arange(self.size), [len(nb) for nb in self.neighbors])
+        return src, np.concatenate(self.neighbors).astype(np.intp)
+
     def dist_to_net(self, i: int) -> float:
         gaps = np.maximum(
             np.abs(self.net.points - self.centers[i]) - self.halves[i], 0.0

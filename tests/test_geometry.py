@@ -189,6 +189,28 @@ def test_near_pairs_hold_every_meeting_pair(n):
     assert banded > 10
 
 
+def test_near_pairs_stay_near_linear_across_scales():
+    """2000 touching unit cubes on a line with, past each end, a tail of
+    single cubes doubling in size: the tail's exponents hold too few cubes
+    for a band of their own, and joined at the reach of the coarsest one
+    they would pair with every fine cube.  Points at the fine centres
+    against the tail, and the tail against itself, stay small too."""
+    fine_c = np.arange(2000.0)[:, None]
+    tail_h = 2.0 ** np.arange(1, 12)
+    edge = np.cumsum(2.0 * tail_h) - tail_h  # centres of the tail past 1999.5
+    tail_c = np.concatenate([1999.5 + edge, -0.5 - edge])[:, None]
+    c = np.concatenate([fine_c, tail_c])
+    h = np.concatenate([np.full(2000, 0.5), tail_h, tail_h])
+    i, j = near_pairs(c, h)
+    assert i.size <= 4 * h.size and len(_bands(c, h)) == 2
+    meet = np.all(np.abs(c[i] - c[j]) <= (h[i] + h[j])[:, None], axis=1)
+    # every cube with itself, and in both orders 1999 fine contacts and one
+    # per tail cube with the cube before it
+    assert meet.sum() == h.size + 2 * (1999 + 22)
+    i, j = near_pairs(tail_c, np.concatenate([tail_h, tail_h]), fine_c, np.zeros(2000))
+    assert i.size <= 4 * tail_h.size * 2
+
+
 def _loop_greedy_disjoint(c, h):
     """Reference: test each cube against every kept cube before it."""
     kept_c, kept_h, keep = np.zeros((0, c.shape[1])), np.zeros(0), []

@@ -298,6 +298,9 @@ def _assert_neighbors_match_dense(cover):
     assert len(cover.neighbors) == len(want)
     for got_i, want_i in zip(cover.neighbors, want):
         assert got_i.dtype == np.int64 and got_i.tobytes() == want_i.tobytes()
+    src, dst = cover.edges()
+    assert np.array_equal(src, np.repeat(np.arange(len(want)), [len(w) for w in want]))
+    assert np.array_equal(dst, np.concatenate(want))
 
 
 def test_neighbors_match_dense_on_suites():
@@ -332,3 +335,20 @@ def test_build_whitney_logs_one_info_line(caplog):
     with caplog.at_level(logging.ERROR, logger="sumspace.whitney"):
         build_whitney(net)
     assert not caplog.records
+
+
+def test_candidates_scale_with_cubes_on_a_1d_heavy_grid(caplog):
+    """The 1d heavy grid of 64 atoms (p = 3) covers its hull with about 95
+    cubes at each of a dozen levels, and the inflated box beyond it with a
+    tail of three or four edge cubes per level over half a dozen coarser
+    levels.  Joined at the reach of its coarsest cube, that tail would pair
+    with most of the cover; the candidates must stay a few per cube."""
+    net = build_net(heavy_grid(64, 1), Params(p=3.0))
+    with caplog.at_level(logging.INFO, logger="sumspace.whitney"):
+        cover = build_whitney(net)
+    msg = caplog.records[-1].getMessage()
+    tested = int(msg.split(" candidate pairs")[0].rsplit(" ", 1)[1])
+    assert cover.size > 1000 and np.ptp(cover.levels) > 15
+    assert tested <= 8 * cover.size
+    _assert_neighbors_match_dense(cover)
+

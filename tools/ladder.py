@@ -1,8 +1,8 @@
 """Stage ladder of the geometry core on the heavy 2d grid.
 
-    PYTHONPATH=src python tools/ladder.py BENCH_<n>.json [--sides 4 8 12]
+    PYTHONPATH=src python tools/ladder.py BENCH_<n>.json
 
-builds, for each side k, the k x k grid of atoms of weight 100 at the
+builds, for each side k in SIDES, the k x k grid of atoms of weight 100 at the
 integer points with p = 3 (the benchmark's grid2d measure at a larger k),
 and runs the stages that lead to the reference family one after the
 other: ``build_net``, ``build_whitney``, ``assign_anchors``,
@@ -31,6 +31,7 @@ from sumspace.lacunae import partition_lacunae
 from sumspace.whitney import assign_anchors, build_whitney
 
 MIB = 1024.0 * 1024.0
+SIDES = (4, 8, 12)
 
 
 def measure(stage):
@@ -85,10 +86,9 @@ def main() -> None:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     ap.add_argument("out", help="JSON file to write")
-    ap.add_argument("--sides", type=int, nargs="+", default=[4, 8, 12])
     args = ap.parse_args()
     rungs = []
-    for k in args.sides:
+    for k in SIDES:
         rungs.append(rung(k))
         print(json.dumps(rungs[-1]), flush=True)
     doc = {
