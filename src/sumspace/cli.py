@@ -21,19 +21,19 @@ from .functional import (
     FamilyAssignment,
     FamilyValidationError,
     Variant,
+    admissible_members,
     build_pipeline,
     build_reference_family,
     default_t_grid,
     eval_family_functional,
     k_curve,
+    members_value,
     validate_family,
 )
 from .lacunae import contact_graph, partition_lacunae, project_lacuna, projection_multiplicity
 from .measure import MeasureFormatError, load_function, load_measure
 from .oracle1d import OracleProblem, sigma_norm_exact
 from .selftest import run_selftest
-
-log = logging.getLogger("sumspace")
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -181,49 +181,15 @@ def cmd_estimate(args):
     net, cover, pou, lacs = build_pipeline(mu, prm)
     ref = build_reference_family(mu, net, cover, lacs, prm)
     gamma = ref.gamma_needed * (1 + 1e-9)
+    fa = ref.assignment
     values = {}
     admissible = {}
     for variant in Variant:
-        fam = ref.assignment
-        try:
-            validate_family(fam, variant, mu, args.p, gamma)
-            kept = fam
-            total = eval_family_functional(kept, variant, mu, f, args.p, gamma=gamma)
-            count = len(fam.family)
-        except FamilyValidationError:
-            # keep the subfamily admissible for this variant
-            keep_idx = []
-            for k in range(len(fam.family)):
-                sub = FamilyAssignment(
-                    type(fam.family)([fam.family[k]]),
-                    [fam.prime[k]],
-                    [fam.dprime[k]],
-                    fam.pool,
-                )
-                try:
-                    validate_family(sub, variant, mu, args.p, gamma)
-                except FamilyValidationError:
-                    continue
-                keep_idx.append(k)
-            total = sum(
-                eval_family_functional(
-                    FamilyAssignment(
-                        type(fam.family)([fam.family[k]]),
-                        [fam.prime[k]],
-                        [fam.dprime[k]],
-                        fam.pool,
-                    ),
-                    variant,
-                    mu,
-                    f,
-                    args.p,
-                    gamma=gamma,
-                )
-                for k in keep_idx
-            )
-            count = len(keep_idx)
-        values[variant.value] = total
-        admissible[variant.value] = count
+        # members are valued one by one, so disjointness is not asked of them
+        keep = np.nonzero(admissible_members(fa, variant, mu, args.p, gamma))[0]
+        # with no admissible member the output shows the integer 0
+        values[variant.value] = members_value(fa, variant, mu, f.values, args.p, keep) if keep.size else 0
+        admissible[variant.value] = len(keep)
     payload = {
         "values": values,
         "admissible_terms": admissible,

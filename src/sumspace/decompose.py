@@ -6,8 +6,9 @@ resulting values from the net by the Whitney-type formula
     f1(x) = sum_Q phi_Q(x) * tilde(anchor(Q)),
 
 and is constant on the inner holes and outside the working box.  ``T2 f`` is
-the residual ``f - T1 f`` at the atoms.  Both maps are linear in ``f`` by
-construction.
+the residual ``f - T1 f`` at the atoms.  ``T1`` is applied as two sparse
+matrices, the net cube averages and the partition-of-unity extension of
+those values, so both maps are linear in ``f`` by construction.
 
 The smoothness cost of ``f1`` is estimated either by tensor Gauss-Legendre
 quadrature of ``max_i |d_i f1|^p`` over the cover cubes, or by the discrete
@@ -23,9 +24,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .concentration import ConcentrationNet, Params
-from .geometry import Cube
-from .measure import AtomicMeasure, average, lp_norm
-from .whitney import PartitionOfUnity, WhitneyCover
+from .geometry import Cube, segment_reduce
+from .measure import AtomicMeasure, lp_norm
+from .whitney import PartitionOfUnity, PartitionValues, WhitneyCover
 
 __all__ = [
     "Decomposition",
@@ -94,8 +95,67 @@ def _boundary_samples(box: Cube, per_edge: int = 7) -> np.ndarray:
     return np.asarray(pts, dtype=float)
 
 
-def _eval_values(dec: "Decomposition", X: np.ndarray) -> np.ndarray:
-    return np.array([eval_f1(dec, x)[0] for x in np.atleast_2d(X)])
+@dataclass
+class SparseRows:
+    """The linear map ``x -> (M @ x) / norm`` of a sparse matrix M stored row by row.
+
+    Row k holds the next ``counts[k]`` entries: values ``vals`` in columns
+    ``cols``.  Every row is applied with the BLAS dot product of its
+    entries in stored order, the rounding of ``np.dot(vals, x[cols]) / norm``.
+    """
+
+    counts: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    norm: np.ndarray
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        dots = lambda a, b: np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+        return segment_reduce(self.counts, dots, self.vals, x[self.cols]) / self.norm
+
+
+def _averages(mu: AtomicMeasure, net: ConcentrationNet) -> SparseRows:
+    """The means over the net cubes and, as one more row, over every atom (the far field).
+
+    A row holds the weights of its atoms, in ascending atom order, over
+    their sum: the rounding of ``average`` and of the global mean.
+    """
+    rows, atoms = mu.cube_atoms(net.points, net.radii)
+    counts = np.append(np.bincount(rows, minlength=net.size), mu.m)
+    vals = np.concatenate([mu.weights[atoms], mu.weights])
+    mass = segment_reduce(counts, lambda w: w.sum(axis=1), vals)
+    if np.any(mass == 0.0):
+        raise ValueError("average over mu-null set")
+    return SparseRows(counts, np.concatenate([atoms, np.arange(mu.m)]), vals, mass)
+
+
+def _extension(part: PartitionValues, anchors: np.ndarray, far: int) -> SparseRows:
+    """The extension from the net values, plus the far field in column ``far``, to the rows.
+
+    A covered row holds its bumps ``b_Q`` in the columns of the anchors of
+    ``Q``, one entry per cube in cube order, over the bump sum, so that
+    ``phi`` is applied as ``np.dot(t, b) / S``.  Every other row is a unit
+    row: at the net point it equals, at the far field outside the working
+    box, or at the net point of its inner hole.
+    """
+    unit = np.nonzero(~part.covered)[0]
+    col = np.where(
+        part.net_hit[unit] >= 0,
+        part.net_hit[unit],
+        np.where(part.outside[unit], far, part.hole_net[unit]),
+    )
+    if np.any(col < 0):
+        raise RuntimeError(
+            f"row {int(unit[col < 0][0])} is neither covered, outside, nor in a hole"
+        )
+    rows = np.concatenate([part.point, unit])
+    order = np.argsort(rows, kind="stable")
+    return SparseRows(
+        np.bincount(rows, minlength=part.total.size),
+        np.concatenate([anchors[part.cube], col])[order],
+        np.concatenate([part.bump, np.ones(unit.size)])[order],
+        np.where(part.covered, part.total, 1.0),
+    )
 
 
 def build_extension(
@@ -110,8 +170,11 @@ def build_extension(
 ) -> Decomposition:
     """Assemble the decomposition for atom values ``f``.
 
-    The far field is the global mu-average of ``f``.  Boundary samples of
-    the Whitney formula are compared against it; the worst relative mismatch
+    ``T1`` is two sparse linear maps applied one after the other: the
+    averages over the net cubes, with the far field, the global
+    mu-average, as one more row, and the extension of those values to the
+    atoms and the boundary samples.  Boundary samples of the Whitney
+    formula are compared against the far field; the worst relative mismatch
     is recorded, and with ``strict_far_field`` a mismatch beyond
     ``far_field_tol`` raises :class:`WorkingBoxError`.  For spread-out
     measures the extension genuinely tends to per-direction limits, so the
@@ -123,14 +186,12 @@ def build_extension(
     if cover.anchors is None:
         raise ValueError("cover has no anchors; call assign_anchors first")
 
-    tilde = np.array(
-        [
-            average(mu, values, Cube(net.points[i], float(net.radii[i])))
-            for i in range(net.size)
-        ]
-    )
-    far_field = float(np.dot(mu.weights, values) / mu.total_mass)
-
+    net_values = _averages(mu, net) @ values
+    X = np.concatenate([mu.positions, _boundary_samples(net.working_box)])
+    f1 = _extension(pou.evaluate(X), cover.anchors, net.size) @ net_values
+    far_field = float(net_values[-1])
+    f1_at_atoms = f1[: mu.m]
+    scale = max(np.max(np.abs(values)) if values.size else 0.0, abs(far_field), 1e-30)
     dec = Decomposition(
         mu=mu,
         f=values,
@@ -138,18 +199,12 @@ def build_extension(
         net=net,
         cover=cover,
         pou=pou,
-        tilde=tilde,
+        tilde=net_values[:-1],
         far_field=far_field,
-        f1_at_atoms=np.zeros(mu.m),
-        f2=np.zeros(mu.m),
-        boundary_mismatch=0.0,
+        f1_at_atoms=f1_at_atoms,
+        f2=values - f1_at_atoms,
+        boundary_mismatch=float(np.max(np.abs(f1[mu.m :] - far_field)) / scale),
     )
-    dec.f1_at_atoms = _eval_values(dec, mu.positions)
-    dec.f2 = values - dec.f1_at_atoms
-
-    scale = max(np.max(np.abs(values)) if values.size else 0.0, abs(far_field), 1e-30)
-    bvals = _eval_values(dec, _boundary_samples(net.working_box))
-    dec.boundary_mismatch = float(np.max(np.abs(bvals - far_field)) / scale)
     if strict_far_field and dec.boundary_mismatch > far_field_tol:
         raise WorkingBoxError(
             f"working box too small: boundary mismatch {dec.boundary_mismatch:g} "
@@ -158,39 +213,32 @@ def build_extension(
     return dec
 
 
-def eval_f1(dec: Decomposition, x) -> tuple[float, np.ndarray]:
-    """Value and gradient of the extension anywhere.
+def eval_f1(dec: Decomposition, x):
+    """Value and gradient of the extension at one point, or at every row of a 2d array.
 
-    Convention: the gradient is the zero vector at net points, on the inner
-    holes, and outside the working box, where the extension is constant.
+    One point gives ``(value, gradient)``; rows give arrays of shapes (P,)
+    and (P, n).  Convention: the gradient is the zero vector at net points,
+    on the inner holes, and outside the working box, where the extension is
+    constant.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    net, cover = dec.net, dec.cover
-    zero = np.zeros(net.n)
-    hit = np.nonzero(np.all(x[None, :] == net.points, axis=1))[0]
-    if hit.size:
-        return float(dec.tilde[hit[0]]), zero
-    if np.any(np.abs(x - net.working_box.center) > net.working_box.half_side):
-        return dec.far_field, zero
-    ids = dec.pou.support_ids(x)
-    if ids.size:
-        b, g = dec.pou.bump_and_grad(ids, x[None, :])
-        b, g = b[0], g[0]
-        pos = b > 0.0
-        if np.any(pos):
-            ids, b, g = ids[pos], b[pos], g[pos]
-            t = dec.tilde[cover.anchors[ids]]
-            S = b.sum()
-            G = g.sum(axis=0)
-            value = float(np.dot(t, b) / S)
-            # gauge the anchored values to the local mean for cancellation
-            tc = t - value
-            grad = (tc[:, None] * g).sum(axis=0) / S - (np.dot(tc, b) / (S * S)) * G
-            return value, grad
-    h = cover.hole_index(x)
-    if h >= 0:
-        return float(dec.tilde[cover.hole_net[h]]), zero
-    raise RuntimeError(f"point {x} is neither covered, outside, nor in a hole")
+    n = dec.net.n
+    X = np.asarray(x, dtype=float)
+    rows = X.ndim == 2
+    part = dec.pou.evaluate(X if rows else X.reshape(1, n))
+    anchors = dec.cover.anchors
+    value = _extension(part, anchors, dec.net.size) @ np.append(dec.tilde, dec.far_field)
+    # gauge the anchored values to the local mean for cancellation
+    tc = dec.tilde[anchors[part.cube]] - value[part.point]
+    grad = np.stack(
+        [
+            np.bincount(part.point, weights=tc * part.grad[:, ax], minlength=value.size)
+            for ax in range(n)
+        ],
+        axis=1,
+    )
+    if rows:
+        return value, grad
+    return float(value[0]), grad[0]
 
 
 def mu_norm_f2(dec: Decomposition, p: float | None = None) -> float:

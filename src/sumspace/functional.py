@@ -13,7 +13,7 @@ variants differ in the weight attached to each term:
   V4     V1 weight / ((diam Q')^(p-n) mu(Q') + (diam Q'')^(p-n) mu(Q''))
   VTH3   D / (mu(Q') mu(Q'')) / ((diam Q)^(p-n) (1 + (diam Q')^(n-p)/mu(Q')
                                                + (diam Q'')^(n-p)/mu(Q'')))
-  N11    the VTH3 weight with multiplicity-based (not disjointness) validation
+  N11    the VTH3 weight with the VTH3 admissibility conditions
 
 ``build_reference_family`` emits the measure-determined family on which the
 sum-space norm is equivalent to the functional value, together with the
@@ -32,7 +32,7 @@ import numpy as np
 
 from .concentration import ConcentrationNet, Params, build_net
 from .decompose import build_extension, estimate_sobolev_seminorm, mu_norm_f2
-from .geometry import Cube, CubeFamily, cube_contains, greedy_disjoint, near_pairs
+from .geometry import Cube, CubeFamily, greedy_disjoint, near_pairs
 from .lacunae import Lacuna, partition_lacunae, project_lacuna
 from .measure import AtomicMeasure, lp_norm
 from .whitney import PartitionOfUnity, WhitneyCover, assign_anchors, build_whitney
@@ -41,6 +41,8 @@ __all__ = [
     "Variant",
     "FamilyAssignment",
     "FamilyValidationError",
+    "admissible_members",
+    "members_value",
     "eval_family_functional",
     "build_reference_family",
     "ReferenceFamily",
@@ -118,6 +120,69 @@ class FamilyAssignment:
         return cls(fam, [int(i) for i in d["prime"]], [int(i) for i in d["dprime"]], pool)
 
 
+def _conditions(fa: FamilyAssignment, variant: Variant, mu: AtomicMeasure, p: float,
+                gamma: float, mass_mode: str) -> list:
+    """The per-member admissibility conditions in checking order.
+
+    Each is a pair: the mask of the members that meet it, and the message
+    for a member ``k`` that does not.
+    """
+    if not gamma > 0:
+        raise ValueError("dilation factor must be positive")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
+    n = mu.n
+    fam = fa.family
+    pool = fa.pool if fa.pool is not None else fam
+    fc, fh = fam.centers(), fam.halves()
+    pc, ph = pool.centers(), pool.halves()
+    names = ("Q'", "Q''")
+    jp, jd = J = np.array([fa.prime, fa.dprime], dtype=np.intp)
+    inside = np.all(np.abs(fc - pc[J]) + ph[J][..., None] <= (gamma * fh)[:, None], axis=2)
+    out = [
+        (inside[a], lambda k, name=name: f"{name} escapes gamma*Q with gamma={gamma:g}")
+        for a, name in enumerate(names)
+    ]
+    if variant not in (Variant.V1, Variant.V4, Variant.VTH3, Variant.N11):
+        return out
+    used = np.unique(J)
+    mass = np.zeros(len(pool))
+    mass[used] = mu.mass_many(pc[used], ph[used])
+    if variant in (Variant.V1, Variant.V4):
+        diam = 2.0 * ph
+        if mass_mode == "unit_sum":
+            s = _powers(diam[jp], p - n) * mass[jp] + _powers(diam[jd], p - n) * mass[jd]
+            out.append((~(s > 1.0 + 1e-12), lambda k: f"unit mass-sum condition violated ({s[k]:g} > 1)"))
+        elif mass_mode == "mass_bound":
+            cap = 2.0 ** (32.0 * p)
+            for name, j in zip(names, J):
+                over = mass[j] > cap * _powers(diam[j], n - p) * (1 + 1e-12)
+                out.append((~over, lambda k, name=name: f"{name} mass bound violated"))
+        else:
+            raise ValueError(f"unknown mass_mode {mass_mode!r}")
+    else:
+        for name, j in zip(names, J):
+            out.append((mass[j] > 0.0, lambda k, name=name: f"{name} has zero mass, not admissible here"))
+    return out
+
+
+def admissible_members(
+    fa: FamilyAssignment,
+    variant: Variant,
+    mu: AtomicMeasure,
+    p: float,
+    gamma: float,
+    mass_mode: str = "unit_sum",
+) -> np.ndarray:
+    """Per member, whether its pair is admissible alone: Q' and Q'' lie in ``gamma Q``
+    and meet the variant's mass condition (see :func:`validate_family`)."""
+    ok = np.ones(len(fa.family), dtype=bool)
+    if len(fa.family):
+        for meets, _ in _conditions(fa, variant, mu, p, gamma, mass_mode):
+            ok &= meets
+    return ok
+
+
 def validate_family(
     fa: FamilyAssignment,
     variant: Variant,
@@ -132,48 +197,25 @@ def validate_family(
     ``unit_sum`` demands
     ``(diam Q')^(p-n) mu(Q') + (diam Q'')^(p-n) mu(Q'') <= 1`` while
     ``mass_bound`` demands ``mu(Q') <= 2^(32 p) (diam Q')^(n-p)`` (and the
-    same for Q'').
+    same for Q'').  VTH3 and N11 demand ``mu(Q') > 0`` and ``mu(Q'') > 0``.
+    Meeting cubes are found by a ``near_pairs`` lookup; the error names the
+    first member that meets another, or else the first member that fails
+    :func:`admissible_members`, with its first failed condition.
     """
-    n = mu.n
     fam = fa.family
     if len(fam) == 0:
         return
-    if not fam.pairwise_disjoint():
-        inter = fam.intersection_matrix()
-        np.fill_diagonal(inter, False)
-        i = int(np.nonzero(inter.any(axis=1))[0][0])
-        raise FamilyValidationError(int(fam.ids[i]), "family cubes are not pairwise disjoint")
-    for k, q in enumerate(fam):
-        big = q.scaled(gamma)
-        for name, j in (("Q'", fa.prime[k]), ("Q''", fa.dprime[k])):
-            qq = fa.pool_cube(j)
-            if not cube_contains(big, qq):
-                raise FamilyValidationError(
-                    int(fam.ids[k]), f"{name} escapes gamma*Q with gamma={gamma:g}"
-                )
-        if variant in (Variant.V1, Variant.V4):
-            qp, qd = fa.pool_cube(fa.prime[k]), fa.pool_cube(fa.dprime[k])
-            if mass_mode == "unit_sum":
-                s = qp.diam ** (p - n) * mu.mass(qp) + qd.diam ** (p - n) * mu.mass(qd)
-                if s > 1.0 + 1e-12:
-                    raise FamilyValidationError(
-                        int(fam.ids[k]), f"unit mass-sum condition violated ({s:g} > 1)"
-                    )
-            elif mass_mode == "mass_bound":
-                cap = 2.0 ** (32.0 * p)
-                for name, qq in (("Q'", qp), ("Q''", qd)):
-                    if mu.mass(qq) > cap * qq.diam ** (n - p) * (1 + 1e-12):
-                        raise FamilyValidationError(
-                            int(fam.ids[k]), f"{name} mass bound violated"
-                        )
-            else:
-                raise ValueError(f"unknown mass_mode {mass_mode!r}")
-        if variant in (Variant.VTH3, Variant.N11):
-            for name, j in (("Q'", fa.prime[k]), ("Q''", fa.dprime[k])):
-                if mu.mass(fa.pool_cube(j)) <= 0.0:
-                    raise FamilyValidationError(
-                        int(fam.ids[k]), f"{name} has zero mass, not admissible here"
-                    )
+    c, h = fam.centers(), fam.halves()
+    i, j = near_pairs(c, h)
+    meet = (i != j) & np.all(np.abs(c[i] - c[j]) - (h[i] + h[j])[:, None] <= 0.0, axis=1)
+    if meet.any():
+        raise FamilyValidationError(int(fam.ids[i[meet].min()]), "family cubes are not pairwise disjoint")
+    conditions = _conditions(fa, variant, mu, p, gamma, mass_mode)
+    bad = np.nonzero(~np.logical_and.reduce([meets for meets, _ in conditions]))[0]
+    if bad.size:
+        k = int(bad[0])
+        reason = next(message(k) for meets, message in conditions if not meets[k])
+        raise FamilyValidationError(int(fam.ids[k]), reason)
 
 
 def _pair_oscillation(mu: AtomicMeasure, values: np.ndarray, qp: Cube, qd: Cube, p: float) -> float:
@@ -205,6 +247,26 @@ def _term_weight(
     raise ValueError(f"unknown variant {variant}")
 
 
+def members_value(
+    fa: FamilyAssignment, variant: Variant, mu: AtomicMeasure, values: np.ndarray, p: float, members
+) -> float:
+    """The oscillation sum over the given members, added in their order, without validation."""
+    n = mu.n
+    total = 0.0
+    for k in members:
+        q = fa.family[k]
+        qp = fa.pool_cube(fa.prime[k])
+        qd = fa.pool_cube(fa.dprime[k])
+        mp, md = mu.mass(qp), mu.mass(qd)
+        if variant in (Variant.CR, Variant.V1, Variant.V4) and (mp == 0.0 or md == 0.0):
+            continue  # the double integral over a null set vanishes
+        osc = _pair_oscillation(mu, values, qp, qd, p)
+        if osc == 0.0:
+            continue
+        total += _term_weight(variant, n, p, q.diam, qp.diam, qd.diam, mp, md) * osc
+    return total
+
+
 def eval_family_functional(
     fa: FamilyAssignment,
     variant: Variant,
@@ -223,19 +285,7 @@ def eval_family_functional(
         gamma = Params(p=max(p, 1.0 + 1e-9)).gamma_value
     if validate:
         validate_family(fa, variant, mu, p, gamma, mass_mode)
-    n = mu.n
-    total = 0.0
-    for k, q in enumerate(fa.family):
-        qp = fa.pool_cube(fa.prime[k])
-        qd = fa.pool_cube(fa.dprime[k])
-        mp, md = mu.mass(qp), mu.mass(qd)
-        if variant in (Variant.CR, Variant.V1, Variant.V4) and (mp == 0.0 or md == 0.0):
-            continue  # the double integral over a null set vanishes
-        osc = _pair_oscillation(mu, values, qp, qd, p)
-        if osc == 0.0:
-            continue
-        total += _term_weight(variant, n, p, q.diam, qp.diam, qd.diam, mp, md) * osc
-    return total
+    return members_value(fa, variant, mu, values, p, range(len(fa.family)))
 
 
 # ---------------------------------------------------------------------------

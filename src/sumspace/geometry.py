@@ -28,6 +28,7 @@ __all__ = [
     "dist_cube_set",
     "near_pairs",
     "greedy_disjoint",
+    "segment_reduce",
     "select_min_disjoint",
     "color_disjoint",
     "DegreeBoundError",
@@ -249,6 +250,7 @@ def near_pairs(ca, ha, cb=None, hb=None) -> tuple[np.ndarray, np.ndarray]:
     every pair with ``|ca[i] - cb[j]|_inf <= (1 + 1e-6) (ha[i] + hb[j])`` and
     possibly some farther ones, so callers apply their exact test to them.
     Without ``cb, hb`` the family is paired with itself (``i == j`` included).
+    When there are at most ``_MIN_BAND ** 2`` pairs in all, all are returned.
     Half sides may be zero (points).  Each side is split into bands by the
     binary exponent of the half side (``_bands``), and every pair of bands
     is joined by ``_join``.  Within a band of one exponent the half sides
@@ -266,6 +268,9 @@ def near_pairs(ca, ha, cb=None, hb=None) -> tuple[np.ndarray, np.ndarray]:
         cb, hb = ca, ha
     else:
         cb, hb = np.asarray(cb, dtype=float), np.asarray(hb, dtype=float)
+    if ha.size * hb.size <= _MIN_BAND**2:
+        # every pair costs less than building the trees
+        return np.repeat(np.arange(ha.size), hb.size), np.tile(np.arange(hb.size), ha.size)
     bands_a = _bands(ca, ha)
     bands_b = bands_a if self_join else _bands(cb, hb)
     for x, band_a in enumerate(bands_a):
@@ -302,6 +307,26 @@ def greedy_disjoint(centers, halves) -> np.ndarray:
     for j, a, b in zip(heads.tolist(), bounds[:-1], bounds[1:]):
         keep[j] = not keep[earlier[a:b]].any()
     return keep
+
+
+def segment_reduce(counts, fn, *entries) -> np.ndarray:
+    """``fn`` of the entries of every segment; ``entries`` hold the segments one after another.
+
+    Segment ``k`` is the next ``counts[k]`` entries.  Segments of one length
+    are reduced in one call, ``fn`` mapping arrays of shape (segments,
+    length) to (segments,), so every segment gets the rounding ``fn`` gives
+    its own entries: ``np.sum`` adds them pairwise in order, a row-wise
+    ``np.matmul`` takes the BLAS dot product of ``np.dot``.  Empty segments
+    give 0.
+    """
+    counts = np.asarray(counts)
+    start = np.cumsum(counts) - counts
+    out = np.zeros(counts.shape[0])
+    for c in np.unique(counts[counts > 0]):
+        seg = np.nonzero(counts == c)[0]
+        at = start[seg, None] + np.arange(c)
+        out[seg] = fn(*(e[at] for e in entries))
+    return out
 
 
 class CubeFamily:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Cube, near_pairs
+from .geometry import Cube, near_pairs, segment_reduce
 
 __all__ = [
     "AtomicMeasure",
@@ -166,13 +166,11 @@ class AtomicMeasure:
             return 0.0
         return float(self.weights[idx].sum())
 
-    def mass_many(self, centers, halves) -> np.ndarray:
-        """Masses of the closed cubes ``Q(centers[k], halves[k])``, each bit-equal to ``mass``.
+    def cube_atoms(self, centers, halves) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs ``(k, i)`` of every atom ``i`` inside the closed cube ``Q(centers[k], halves[k])``.
 
-        The atoms of every cube come from one range join (``near_pairs``)
-        and the exact closed-cube test of ``atoms_in``.  Each cube's weights
-        are then summed in ascending atom order by numpy's own summation,
-        one call per atom count, so the rounding is that of ``mass``.
+        The pairs come from one range join (``near_pairs``) and the exact
+        closed-cube test of ``atoms_in``, sorted by cube and then by atom.
         """
         C = np.atleast_2d(np.asarray(centers, dtype=float))
         H = np.asarray(halves, dtype=float).ravel()
@@ -180,14 +178,20 @@ class AtomicMeasure:
             raise ValueError(f"expected {H.shape[0]} centers of dimension {self.n}, got {C.shape}")
         rows, atoms = near_pairs(C, H, self.positions, np.zeros(self.m))
         inside = np.max(np.abs(self.positions[atoms] - C[rows]), axis=1) <= H[rows]
-        rows, atoms = rows[inside], atoms[inside]
+        return rows[inside], atoms[inside]
+
+    def mass_many(self, centers, halves) -> np.ndarray:
+        """Masses of the closed cubes ``Q(centers[k], halves[k])``, each bit-equal to ``mass``.
+
+        The atoms of every cube come from ``cube_atoms``.  Each cube's
+        weights are then summed in ascending atom order by numpy's own
+        summation, one call per atom count, so the rounding is that of
+        ``mass``.
+        """
+        H = np.asarray(halves, dtype=float).ravel()
+        rows, atoms = self.cube_atoms(centers, H)
         counts = np.bincount(rows, minlength=H.shape[0])
-        start = np.cumsum(counts) - counts
-        out = np.zeros(H.shape[0])
-        for k in np.unique(counts[counts > 0]):
-            sel = np.nonzero(counts == k)[0]
-            out[sel] = self.weights[atoms[start[sel, None] + np.arange(k)]].sum(axis=1)
-        return out
+        return segment_reduce(counts, lambda w: w.sum(axis=1), self.weights[atoms])
 
     def scaled(self, factor: float) -> "AtomicMeasure":
         """Same atoms with all weights multiplied by ``factor > 0``."""

@@ -13,7 +13,8 @@ at ``e`` itself, so the extension is exactly constant there and no finer
 cubes are needed.
 
 The partition of unity uses per-axis C^2 quintic ramps supported on
-``Q* = (9/8) Q``, normalized by the local bump sum.
+``Q* = (9/8) Q``, normalized by the local bump sum.  It is evaluated in one
+batch (``PartitionOfUnity.evaluate``) as sparse (point, cube) terms.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .concentration import ConcentrationNet, Params
-from .geometry import Cube, CubeFamily, near_pairs
+from .geometry import Cube, CubeFamily, near_pairs, segment_reduce
 
 __all__ = [
     "WhitneyCover",
     "PartitionOfUnity",
+    "PartitionValues",
     "build_whitney",
     "assign_anchors",
-    "partition_eval",
     "DepthLimitError",
     "AnchorError",
     "PartitionDomainError",
@@ -97,22 +98,6 @@ class WhitneyCover:
             np.abs(self.net.points - self.centers[i]) - self.halves[i], 0.0
         )
         return float(np.min(np.max(gaps, axis=1)))
-
-    def containing_cubes(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        inside = np.all(np.abs(x[None, :] - self.centers) <= self.halves[:, None], axis=1)
-        return np.nonzero(inside)[0]
-
-    def hole_index(self, x) -> int:
-        """Index into the hole arrays containing ``x``, or -1."""
-        if self.hole_centers.shape[0] == 0:
-            return -1
-        x = np.asarray(x, dtype=float)
-        inside = np.all(
-            np.abs(x[None, :] - self.hole_centers) <= self.hole_halves[:, None], axis=1
-        )
-        hits = np.nonzero(inside)[0]
-        return int(hits[0]) if hits.size else -1
 
     def to_json_dict(self) -> dict:
         return {
@@ -297,6 +282,59 @@ def _ramp_deriv(t: np.ndarray) -> np.ndarray:
     return np.where(inside, 30.0 * tt * tt * (1.0 - tt) ** 2, 0.0)
 
 
+@dataclass
+class PartitionValues:
+    """The partition of unity at the rows of ``X``, as (row, cube) terms.
+
+    Every cube ``Q`` whose bump is positive at a row of the working box that
+    is not a net point gives one term: its row ``point``, ``cube``, the bump
+    ``b_Q`` (``bump``), ``phi_Q`` and its gradient.  ``total`` is the bump sum
+    of every row, zero at rows without terms.  The other arrays classify
+    every row once: ``net_hit`` is the net point equal to it (or -1),
+    ``outside`` marks rows outside the working box, and ``hole_net`` is the
+    net point of the first inner hole that holds a box row (or -1), whether
+    the row has terms or not.
+    """
+
+    point: np.ndarray
+    cube: np.ndarray
+    bump: np.ndarray
+    phi: np.ndarray
+    grad: np.ndarray
+    total: np.ndarray
+    net_hit: np.ndarray
+    outside: np.ndarray
+    hole_net: np.ndarray
+
+    @property
+    def covered(self) -> np.ndarray:
+        """Rows at which the terms define the partition."""
+        return self.total > 0.0
+
+    def check_defined(self) -> None:
+        """Raise :class:`PartitionDomainError` at the first row without terms."""
+        bad = np.nonzero(~self.covered)[0]
+        if not bad.size:
+            return
+        r = bad[0]
+        if self.net_hit[r] >= 0:
+            raise PartitionDomainError("partition undefined on E")
+        if self.hole_net[r] >= 0:
+            raise PartitionDomainError(
+                "partition truncated inside an inner hole; the extension is "
+                f"constant there (net point {int(self.hole_net[r])})"
+            )
+        raise PartitionDomainError("point not covered by the Whitney cover")
+
+
+def _first_hits(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
+    """Per row, the first of its ``cols`` (pairs sorted by row), or -1."""
+    out = np.full(size, -1, dtype=np.intp)
+    heads, first = np.unique(rows, return_index=True)
+    out[heads] = cols[first]
+    return out
+
+
 class PartitionOfUnity:
     """Bumps ``phi_Q = b_Q / sum_K b_K`` with ``b_Q`` one on Q, zero off (9/8) Q."""
 
@@ -304,6 +342,13 @@ class PartitionOfUnity:
 
     def __init__(self, cover: WhitneyCover):
         self.cover = cover
+
+    def _factor(self, d: np.ndarray, r: np.ndarray):
+        """Ramp factor at offsets ``d`` from the centres of cubes of half side ``r``,
+        and its derivative in ``d``."""
+        width = r / 8.0
+        t = (self.SUPPORT * r - np.abs(d)) / width
+        return _ramp(t), _ramp_deriv(t) * (-1.0 / width) * np.sign(d)
 
     def axis_factor(self, ids: np.ndarray, x: np.ndarray, axis: int):
         """Ramp factors of cubes ``ids`` along ``axis`` at 1d coordinates ``x``.
@@ -313,59 +358,63 @@ class PartitionOfUnity:
         of shape (len(x), len(ids)).
         """
         d = x[:, None] - self.cover.centers[ids, axis][None, :]
-        r = self.cover.halves[ids][None, :]
-        width = r / 8.0
-        t = (self.SUPPORT * r - np.abs(d)) / width
-        return _ramp(t), _ramp_deriv(t) * (-1.0 / width) * np.sign(d)
+        return self._factor(d, self.cover.halves[ids][None, :])
 
-    def bump_and_grad(self, ids: np.ndarray, X: np.ndarray):
-        """Bumps ``b`` and their gradients for cubes ``ids`` at the rows of X.
+    def bumps(self, ids: np.ndarray, X: np.ndarray):
+        """Bump ``b`` of cube ``ids[k]`` and its gradient at the point ``X[k]``, for every k.
 
-        Returns ``b`` of shape (P, K) and ``grad`` of shape (P, K, n).
+        Returns ``b`` of shape (K,) and ``grad`` of shape (K, n).
         """
-        n = X.shape[1]
-        fs, ds = zip(*(self.axis_factor(ids, X[:, ax], ax) for ax in range(n)))
-        b = np.prod(fs, axis=0)
-        grad = np.stack(
-            [np.prod(fs[:ax] + fs[ax + 1 :], axis=0) * ds[ax] for ax in range(n)], axis=2
-        )
-        return b, grad
+        f, d = self._factor(X - self.cover.centers[ids], self.cover.halves[ids][:, None])
+        rest = [np.prod(np.delete(f, ax, axis=1), axis=1) for ax in range(X.shape[1])]
+        return np.prod(f, axis=1), np.stack(rest, axis=1) * d
 
-    def support_ids(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        inside = np.all(
-            np.abs(x[None, :] - self.cover.centers)
-            <= self.SUPPORT * self.cover.halves[:, None],
-            axis=1,
-        )
-        return np.nonzero(inside)[0]
+    def evaluate(self, X) -> PartitionValues:
+        """The partition and its gradients at the rows of the (P, n) array ``X``.
 
-    def eval(self, x):
-        """List of ``(cube id, phi, grad phi)`` for cubes whose Q* contains x."""
-        x = np.asarray(x, dtype=float)
-        net = self.cover.net
-        if np.any(np.all(x == net.points, axis=1)):
-            raise PartitionDomainError("partition undefined on E")
-        ids = self.support_ids(x)
-        b, g = self.bump_and_grad(ids, x[None, :])
-        b, g = b[0], g[0]
+        Net points, inner holes and the cubes whose ``Q*`` may hold a row are
+        found by ``near_pairs`` lookups, then decided by exact closed tests.
+        """
+        cover, net = self.cover, self.cover.net
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != cover.n:
+            raise ValueError(f"expected rows of {cover.n} coordinates, got shape {X.shape}")
+        P = X.shape[0]
+        at, e = near_pairs(X, np.zeros(P), net.points, np.zeros(net.size))
+        same = np.all(X[at] == net.points[e], axis=1)
+        net_hit = _first_hits(at[same], e[same], P)
+        box = net.working_box
+        outside = (net_hit < 0) & np.any(np.abs(X - box.center) > box.half_side, axis=1)
+        rows = np.nonzero((net_hit < 0) & ~outside)[0]
+        Y = X[rows]
+
+        at, h = near_pairs(Y, np.zeros(rows.size), cover.hole_centers, cover.hole_halves)
+        inside = np.all(np.abs(Y[at] - cover.hole_centers[h]) <= cover.hole_halves[h][:, None], axis=1)
+        hole_net = np.full(P, -1, dtype=np.intp)
+        hole = _first_hits(at[inside], h[inside], rows.size)
+        hole_net[rows[hole >= 0]] = cover.hole_net[hole[hole >= 0]]
+
+        reach = self.SUPPORT * cover.halves
+        at, q = near_pairs(Y, np.zeros(rows.size), cover.centers, reach)
+        inside = np.all(np.abs(Y[at] - cover.centers[q]) <= reach[q][:, None], axis=1)
+        at, q = at[inside], q[inside]
+        b, g = self.bumps(q, Y[at])
         pos = b > 0.0
-        ids, b, g = ids[pos], b[pos], g[pos]
-        if ids.size == 0:
-            h = self.cover.hole_index(x)
-            if h >= 0:
-                raise PartitionDomainError(
-                    "partition truncated inside an inner hole; the extension is "
-                    f"constant there (net point {int(self.cover.hole_net[h])})"
-                )
-            raise PartitionDomainError("point not covered by the Whitney cover")
-        S = b.sum()
-        G = g.sum(axis=0)
-        phi = b / S
-        grads = (g * S - b[:, None] * G[None, :]) / (S * S)
-        return [(int(i), float(p), grads[k].copy()) for k, (i, p) in enumerate(zip(ids, phi))]
-
-
-def partition_eval(cover: WhitneyCover, x):
-    """Evaluate the partition of unity of ``cover`` at ``x``."""
-    return PartitionOfUnity(cover).eval(x)
+        at, q, b, g = at[pos], q[pos], b[pos], g[pos]
+        # S in ascending cube order by numpy's summation, as for one point alone
+        S = segment_reduce(np.bincount(at, minlength=rows.size), lambda x: x.sum(axis=1), b)
+        G = np.stack([np.bincount(at, weights=g[:, ax], minlength=rows.size) for ax in range(cover.n)], axis=1)
+        total = np.zeros(P)
+        total[rows] = S
+        S, G = S[at], G[at]
+        return PartitionValues(
+            point=rows[at],
+            cube=q,
+            bump=b,
+            phi=b / S,
+            grad=(g * S[:, None] - b[:, None] * G) / (S * S)[:, None],
+            total=total,
+            net_hit=net_hit,
+            outside=outside,
+            hole_net=hole_net,
+        )

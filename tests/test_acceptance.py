@@ -143,7 +143,6 @@ class InstanceFacts:
         pou = PartitionOfUnity(cover)
         P = PARTITION_SAMPLES
         pts = box.lo + rng.random((4 * P, mu.n)) * (box.hi - box.lo)
-        sup9 = 9.0 / 8.0 * cover.halves
         keep = []
         for s in range(0, len(pts), 500):
             blk = pts[s : s + 500]
@@ -156,35 +155,30 @@ class InstanceFacts:
         keep = np.concatenate(keep)
         X4 = pts[keep][:P]
         self.partition_points = len(X4)
-        sum_err = 0.0
-        grad_err = 0.0
+        part = pou.evaluate(X4)
+        per_point = lambda v: np.bincount(part.point, weights=v, minlength=len(X4))
+        local = np.full(len(X4), np.inf)
+        np.minimum.at(local, part.point, 2 * cover.halves[part.cube])
+        sum_err = float(np.max(np.abs(per_point(part.phi) - 1.0), initial=0.0))
+        gsum = np.stack([per_point(part.grad[:, ax]) for ax in range(mu.n)], axis=1)
+        grad_err = float(np.max(np.abs(gsum) * local[:, None], initial=0.0))
         fd_ok = True
-        for s in range(0, len(X4), 250):
-            blk = X4[s : s + 250]
-            supp = np.abs(blk[:, None, :] - cover.centers[None, :, :]) <= sup9[None, :, None]
-            supp = np.all(supp, axis=2)
-            for j, x in enumerate(blk):
-                ids = np.nonzero(supp[j])[0]
-                b, g = pou.bump_and_grad(ids, x[None, :])
-                b, g = b[0], g[0]
-                S = b.sum()  # >= 1 on covered points by construction
-                local = float(np.min(2 * cover.halves[ids]))
-                sum_err = max(sum_err, abs(float((b / S).sum()) - 1.0))
-                gsum = ((g * S - b[:, None] * g.sum(axis=0)[None, :]) / (S * S)).sum(axis=0)
-                grad_err = max(grad_err, float(np.max(np.abs(gsum))) * local)
-                step = 1e-6 * local
-                for ax in range(mu.n):
-                    xp = np.repeat(x[None, :], 2, axis=0)
-                    xp[0, ax] += step
-                    xp[1, ax] -= step
-                    bb, _ = pou.bump_and_grad(ids, xp)
-                    php = bb[0] / bb[0].sum()
-                    phm = bb[1] / bb[1].sum()
-                    fd = (php - phm) / (2 * step)
-                    an = (g[:, ax] * S - b * g.sum(axis=0)[ax]) / (S * S)
-                    scale = np.maximum(np.abs(an), 1e-2 / local)
-                    if np.any(np.abs(fd - an) > 1e-5 * scale):
-                        fd_ok = False
+        keys = part.point * cover.size + part.cube
+        step = 1e-6 * local
+        for ax in range(mu.n):
+            shift = np.zeros_like(X4)
+            shift[:, ax] = step
+            fd = 0.0
+            for sign in (1.0, -1.0):
+                moved = pou.evaluate(X4 + sign * shift)
+                # phi at the moved point of every cube whose Q* holds the point
+                phi = dict(zip((moved.point * cover.size + moved.cube).tolist(), moved.phi.tolist()))
+                fd = fd + sign * np.array([phi.get(key, 0.0) for key in keys.tolist()])
+            fd = fd / (2 * step[part.point])
+            an = part.grad[:, ax]
+            scale = np.maximum(np.abs(an), 1e-2 / local[part.point])
+            if np.any(np.abs(fd - an) > 1e-5 * scale):
+                fd_ok = False
         self.partition_sum_err = sum_err
         self.partition_grad_err = grad_err
         self.partition_fd_ok = fd_ok
@@ -230,13 +224,10 @@ class InstanceFacts:
         const_err = float(
             max(np.max(np.abs(dec_1.tilde - 1.0)), np.max(np.abs(dec_1.f2)))
         )
-        for x in probes:
-            vf, gf = eval_f1(dec_f, x)
-            vg, _ = eval_f1(dec_g, x)
-            vc, _ = eval_f1(dec_c, x)
-            v1, g1 = eval_f1(dec_1, x)
-            lin_err = max(lin_err, abs(vc - (a_c * vf + b_c * vg)))
-            const_err = max(const_err, abs(v1 - 1.0), float(np.max(np.abs(g1))))
+        vf, vg, vc = (eval_f1(d, probes)[0] for d in (dec_f, dec_g, dec_c))
+        v1, g1 = eval_f1(dec_1, probes)
+        lin_err = max(lin_err, float(np.max(np.abs(vc - (a_c * vf + b_c * vg)))))
+        const_err = max(const_err, float(np.max(np.abs(v1 - 1.0))), float(np.max(np.abs(g1))))
         scale = max(1.0, float(np.max(np.abs(f))), float(np.max(np.abs(g_vals))))
         self.linearity_err = lin_err / scale
         self.const_err = const_err

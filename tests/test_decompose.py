@@ -15,7 +15,9 @@ from sumspace.decompose import (
     eval_f1,
     mu_norm_f2,
 )
-from sumspace.measure import AtomicMeasure
+from sumspace.geometry import Cube
+from sumspace.instances import heavy_grid, suite_1d, suite_2d
+from sumspace.measure import AtomicMeasure, average
 from sumspace.oracle1d import OracleProblem, sigma_norm_exact
 from sumspace.whitney import PartitionOfUnity, assign_anchors, build_whitney
 
@@ -39,16 +41,63 @@ def box_samples(net, rng, k):
     return box.lo + rng.random((k, net.n)) * (box.hi - box.lo)
 
 
+def first_containing_cube(cover, X):
+    """Reference: per row of X the first closed cover cube holding it, or -1."""
+    inside = np.all(np.abs(X[:, None, :] - cover.centers[None, :, :]) <= cover.halves[None, :, None], axis=2)
+    return np.where(inside.any(axis=1), np.argmax(inside, axis=1), -1)
+
+
+def _dense_bumps(pou, ids, X):
+    """Reference: bumps of cubes ``ids`` at every row of X, shapes (P, K) and (P, K, n)."""
+    n = X.shape[1]
+    fs, ds = zip(*(pou.axis_factor(ids, X[:, ax], ax) for ax in range(n)))
+    b = np.prod(fs, axis=0)
+    grad = np.stack(
+        [np.prod(fs[:ax] + fs[ax + 1 :], axis=0) * ds[ax] for ax in range(n)], axis=2
+    )
+    return b, grad
+
+
+def _pointwise_f1(dec, x):
+    """Reference: value and gradient of the extension at one point, every cover cube and
+    inner hole scanned."""
+    x = np.asarray(x, dtype=float).ravel()
+    net, cover, pou = dec.net, dec.cover, dec.pou
+    zero = np.zeros(net.n)
+    hit = np.nonzero(np.all(x[None, :] == net.points, axis=1))[0]
+    if hit.size:
+        return float(dec.tilde[hit[0]]), zero
+    if np.any(np.abs(x - net.working_box.center) > net.working_box.half_side):
+        return dec.far_field, zero
+    ids = np.nonzero(np.all(np.abs(x - cover.centers) <= pou.SUPPORT * cover.halves[:, None], axis=1))[0]
+    if ids.size:
+        b, g = _dense_bumps(pou, ids, x[None, :])
+        b, g = b[0], g[0]
+        pos = b > 0.0
+        if np.any(pos):
+            ids, b, g = ids[pos], b[pos], g[pos]
+            t = dec.tilde[cover.anchors[ids]]
+            S = b.sum()
+            G = g.sum(axis=0)
+            value = float(np.dot(t, b) / S)
+            tc = t - value
+            grad = (tc[:, None] * g).sum(axis=0) / S - (np.dot(tc, b) / (S * S)) * G
+            return value, grad
+    inside = np.all(np.abs(x - cover.hole_centers) <= cover.hole_halves[:, None], axis=1)
+    if inside.any():
+        return float(dec.tilde[cover.hole_net[np.argmax(inside)]]), zero
+    raise RuntimeError(f"point {x} is neither covered, outside, nor in a hole")
+
+
 def test_constant_function_maps_to_constant():
     mu = AtomicMeasure([[0.0], [1.0], [2.5]], [1.0, 2.0, 0.5])
     prm, net, cover, pou, dec = decompose(mu, [5.0, 5.0, 5.0])
     assert np.allclose(dec.tilde, 5.0)
     assert np.allclose(dec.f2, 0.0)
     rng = np.random.default_rng(0)
-    for x in box_samples(net, rng, 200):
-        v, g = eval_f1(dec, x)
-        assert v == pytest.approx(5.0, abs=1e-12)
-        assert np.max(np.abs(g)) <= 1e-12
+    v, g = eval_f1(dec, box_samples(net, rng, 200))
+    assert np.max(np.abs(v - 5.0)) <= 1e-12
+    assert np.max(np.abs(g)) <= 1e-12
     assert estimate_sobolev_seminorm(dec) == 0.0
     assert mu_norm_f2(dec) == 0.0
 
@@ -76,9 +125,7 @@ def test_linearity():
     dec_c = build_extension(a * f + b * g, mu, net, cover, pou, prm)
     assert np.allclose(dec_c.tilde, a * dec_f.tilde + b * dec_g.tilde, rtol=0, atol=1e-10)
     X = box_samples(net, rng, 300)
-    vf = np.array([eval_f1(dec_f, x)[0] for x in X])
-    vg = np.array([eval_f1(dec_g, x)[0] for x in X])
-    vc = np.array([eval_f1(dec_c, x)[0] for x in X])
+    vf, vg, vc = (eval_f1(d, X)[0] for d in (dec_f, dec_g, dec_c))
     scale = max(1.0, np.max(np.abs(vc)))
     assert np.max(np.abs(vc - (a * vf + b * vg))) <= 1e-10 * scale
 
@@ -90,8 +137,7 @@ def test_single_atom_everything_constant():
     assert np.allclose(dec.tilde, c)
     assert dec.f2[0] == 0.0
     rng = np.random.default_rng(3)
-    for x in box_samples(net, rng, 100):
-        assert eval_f1(dec, x)[0] == pytest.approx(c, abs=1e-12)
+    assert np.max(np.abs(eval_f1(dec, box_samples(net, rng, 100))[0] - c)) <= 1e-12
 
 
 def test_eval_at_net_point_and_outside():
@@ -116,27 +162,26 @@ def test_gradient_matches_finite_differences():
     prm, net, cover, pou, dec = decompose(mu, f)
     spread = float(np.ptp(dec.tilde))
     assert spread > 0, "instance should carry a non-constant extension"
-    checked = 0
-    for x in box_samples(net, rng, 600):
-        if cover.containing_cubes(x).size == 0:
-            continue
-        i = cover.containing_cubes(x)[0]
-        local = 2 * cover.halves[i]
-        step = 1e-6 * local
-        val, grad = eval_f1(dec, x)
-        for ax in range(net.n):
-            xp, xm = x.copy(), x.copy()
-            xp[ax] += step
-            xm[ax] -= step
-            fd = (eval_f1(dec, xp)[0] - eval_f1(dec, xm)[0]) / (2 * step)
-            # floor shields against pure roundoff where the gradient vanishes
-            scale = max(abs(grad[ax]), 1e-3 * spread / local)
-            noise = 64 * np.finfo(float).eps * (abs(val) + spread) / step
-            assert abs(fd - grad[ax]) <= 1e-4 * scale + noise
-        checked += 1
-        if checked >= 120:
-            break
-    assert checked >= 50
+    _assert_gradient_matches_fd(dec, box_samples(net, rng, 600), spread, 120, 50)
+
+
+def _assert_gradient_matches_fd(dec, X, spread, most, least):
+    """Central differences of the value against the gradient at the first ``most``
+    rows of X inside a cover cube, with a step of 1e-6 of that cube's side."""
+    cube = first_containing_cube(dec.cover, X)
+    X, cube = X[cube >= 0][:most], cube[cube >= 0][:most]
+    assert len(X) >= least
+    local = 2 * dec.cover.halves[cube]
+    step = 1e-6 * local
+    val, grad = eval_f1(dec, X)
+    for ax in range(dec.net.n):
+        shift = np.zeros_like(X)
+        shift[:, ax] = step
+        fd = (eval_f1(dec, X + shift)[0] - eval_f1(dec, X - shift)[0]) / (2 * step)
+        # floor shields against pure roundoff where the gradient vanishes
+        scale = np.maximum(np.abs(grad[:, ax]), 1e-3 * spread / local)
+        noise = 64 * np.finfo(float).eps * (np.abs(val) + spread) / step
+        assert np.all(np.abs(fd - grad[:, ax]) <= 1e-4 * scale + noise)
 
 
 def test_gradient_fd_2d():
@@ -149,26 +194,7 @@ def test_gradient_fd_2d():
     prm, net, cover, pou, dec = decompose(mu, f, p=2.5)
     spread = float(np.ptp(dec.tilde))
     assert spread > 0
-    checked = 0
-    for x in box_samples(net, rng, 600):
-        ids = cover.containing_cubes(x)
-        if ids.size == 0:
-            continue
-        local = 2 * cover.halves[ids[0]]
-        step = 1e-6 * local
-        val, grad = eval_f1(dec, x)
-        for ax in range(2):
-            xp, xm = x.copy(), x.copy()
-            xp[ax] += step
-            xm[ax] -= step
-            fd = (eval_f1(dec, xp)[0] - eval_f1(dec, xm)[0]) / (2 * step)
-            scale = max(abs(grad[ax]), 1e-3 * spread / local)
-            noise = 64 * np.finfo(float).eps * (abs(val) + spread) / step
-            assert abs(fd - grad[ax]) <= 1e-4 * scale + noise
-        checked += 1
-        if checked >= 40:
-            break
-    assert checked >= 20
+    _assert_gradient_matches_fd(dec, box_samples(net, rng, 600), spread, 40, 20)
 
 
 def test_seminorm_homogeneity():
@@ -192,13 +218,7 @@ def test_seminorm_quadrature_vs_dense_sampling():
     s_quad = estimate_sobolev_seminorm(dec)
     box = net.working_box
     xs = np.linspace(box.lo[0], box.hi[0], 60001)
-    gs = []
-    for x in xs:
-        try:
-            gs.append(abs(eval_f1(dec, np.array([x]))[1][0]))
-        except RuntimeError:
-            gs.append(0.0)
-    gs = np.array(gs) ** prm.p
+    gs = np.abs(eval_f1(dec, xs[:, None])[1][:, 0]) ** prm.p
     s_dense = float(np.trapezoid(gs, xs) ** (1 / prm.p))
     assert s_quad == pytest.approx(s_dense, rel=2e-3)
 
@@ -227,11 +247,8 @@ def test_seminorm_quadrature_vs_dense_sampling_2d():
     g = 90
     xs = np.linspace(c[0] - h, c[0] + h, g)
     ys = np.linspace(c[1] - h, c[1] + h, g)
-    vals = np.empty((g, g))
-    for a, x in enumerate(xs):
-        for b, y in enumerate(ys):
-            grad = eval_f1(dec, np.array([x, y]))[1]
-            vals[a, b] = np.max(np.abs(grad)) ** prm.p
+    X = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=2).reshape(-1, 2)
+    vals = (np.max(np.abs(eval_f1(dec, X)[1]), axis=1) ** prm.p).reshape(g, g)
     dense = np.trapezoid(np.trapezoid(vals, ys, axis=1), xs)
     assert parts[i] == pytest.approx(dense, rel=0.05)
 
@@ -293,7 +310,7 @@ def _dense_gradient_power(dec, i, nodes, wts, p):
     axes = [_cell_nodes(e, nodes, wts) for e in edges]
     X = np.stack([g.ravel() for g in np.meshgrid(*[x for x, _ in axes], indexing="ij")], axis=1)
     W = np.prod(np.meshgrid(*[w for _, w in axes], indexing="ij"), axis=0).ravel()
-    b, g = dec.pou.bump_and_grad(local, X)
+    b, g = _dense_bumps(dec.pou, local, X)
     S = b.sum(axis=1)
     G = g.sum(axis=1)
     A = (t[None, :, None] * g).sum(axis=1)
@@ -349,3 +366,49 @@ def test_seminorm_logs_one_info_line(caplog):
     with caplog.at_level(logging.ERROR, logger="sumspace.decompose"):
         estimate_sobolev_seminorm(dec)
     assert not caplog.records
+
+
+def _reference_cases():
+    grid = heavy_grid(3)
+    return [(inst.mu, inst.f, inst.p) for inst in suite_1d() + suite_2d()] + [
+        (grid, np.random.default_rng(0).normal(size=grid.m), 3.0)
+    ]
+
+
+def test_extension_operator_matches_pointwise_reference():
+    """The sparse T1 against the per-point formula on the 200 + 50 suite instances
+    and the 3x3 heavy grid: the decomposition bit for bit, and the extension at the
+    atoms, boundary samples, net points, hole centres, points outside the box and
+    100 random box points within 1e-13 (gradients within 1e-13 over the smallest
+    side of a cube whose Q* holds the point)."""
+    from sumspace.decompose import _boundary_samples
+
+    for k, (mu, f, p) in enumerate(_reference_cases()):
+        prm, net, cover, pou, dec = decompose(mu, f, p)
+        box = net.working_box
+        tilde = [average(mu, f, Cube(net.points[i], float(net.radii[i]))) for i in range(net.size)]
+        assert dec.tilde.tobytes() == np.array(tilde).tobytes()
+        assert dec.far_field == float(np.dot(mu.weights, f) / mu.total_mass)
+        at_atoms = [_pointwise_f1(dec, x)[0] for x in mu.positions]
+        assert dec.f1_at_atoms.tobytes() == np.array(at_atoms).tobytes()
+        bvals = np.array([_pointwise_f1(dec, x)[0] for x in _boundary_samples(box)])
+        scale = max(np.max(np.abs(f)), abs(dec.far_field), 1e-30)
+        assert dec.boundary_mismatch == float(np.max(np.abs(bvals - dec.far_field)) / scale)
+
+        rng = np.random.default_rng(k)
+        outside = box.center + box.half_side * np.array([[1.5] * net.n, [-1.0 - 1e-9] + [0.0] * (net.n - 1)])
+        X = np.concatenate(
+            [mu.positions, _boundary_samples(box), net.points, cover.hole_centers, outside,
+             box_samples(net, rng, 100)]
+        )
+        value, grad = eval_f1(dec, X)
+        ref = [_pointwise_f1(dec, x) for x in X]
+        tol = 1e-13 * max(1.0, np.max(np.abs(f)))
+        assert np.all(np.abs(value - np.array([v for v, _ in ref])) <= tol)
+        holds = np.all(np.abs(X[:, None, :] - cover.centers[None]) <= pou.SUPPORT * cover.halves[None, :, None], axis=2)
+        dmin = np.min(np.where(holds, 2 * cover.halves[None, :], np.inf), axis=1)
+        assert np.all(np.abs(grad - np.array([g for _, g in ref])) <= (tol / dmin)[:, None])
+
+        part = pou.evaluate(X)
+        sums = np.bincount(part.point, weights=part.phi, minlength=len(X))
+        assert np.all(np.abs(sums[part.covered] - 1.0) <= 1e-12)

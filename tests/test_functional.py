@@ -13,17 +13,19 @@ from sumspace.functional import (
     ReferenceFamily,
     Variant,
     WeightedPair,
+    admissible_members,
     build_pipeline,
     build_reference_family,
     default_t_grid,
     eval_family_functional,
     eval_weighted_pairs,
     k_curve,
+    members_value,
     search_lower_bound,
     upper_estimate,
     validate_family,
 )
-from sumspace.geometry import Cube, CubeFamily
+from sumspace.geometry import Cube, CubeFamily, cube_contains
 from sumspace.instances import heavy_grid, suite_1d, suite_2d
 from sumspace.lacunae import partition_lacunae, project_lacuna
 from sumspace.measure import AtomicMeasure
@@ -540,4 +542,121 @@ def test_geometry_memory_scales_with_cubes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def _dense_validate_family(fa, variant, mu, p, gamma, mass_mode="unit_sum"):
+    """Reference: the all-pairs intersection matrix, then every member's conditions in turn."""
+    n = mu.n
+    fam = fa.family
+    if len(fam) == 0:
+        return
+    inter = fam.intersection_matrix()
+    np.fill_diagonal(inter, False)
+    if inter.any():
+        i = int(np.nonzero(inter.any(axis=1))[0][0])
+        raise FamilyValidationError(int(fam.ids[i]), "family cubes are not pairwise disjoint")
+    for k, q in enumerate(fam):
+        big = q.scaled(gamma)
+        for name, j in (("Q'", fa.prime[k]), ("Q''", fa.dprime[k])):
+            if not cube_contains(big, fa.pool_cube(j)):
+                raise FamilyValidationError(
+                    int(fam.ids[k]), f"{name} escapes gamma*Q with gamma={gamma:g}"
+                )
+        qp, qd = fa.pool_cube(fa.prime[k]), fa.pool_cube(fa.dprime[k])
+        if variant in (Variant.V1, Variant.V4):
+            if mass_mode == "unit_sum":
+                s = qp.diam ** (p - n) * mu.mass(qp) + qd.diam ** (p - n) * mu.mass(qd)
+                if s > 1.0 + 1e-12:
+                    raise FamilyValidationError(
+                        int(fam.ids[k]), f"unit mass-sum condition violated ({s:g} > 1)"
+                    )
+            else:
+                for name, qq in (("Q'", qp), ("Q''", qd)):
+                    if mu.mass(qq) > 2.0 ** (32.0 * p) * qq.diam ** (n - p) * (1 + 1e-12):
+                        raise FamilyValidationError(int(fam.ids[k]), f"{name} mass bound violated")
+        if variant in (Variant.VTH3, Variant.N11):
+            for name, qq in (("Q'", qp), ("Q''", qd)):
+                if mu.mass(qq) <= 0.0:
+                    raise FamilyValidationError(
+                        int(fam.ids[k]), f"{name} has zero mass, not admissible here"
+                    )
+
+
+def _validation_error(validate, *args):
+    try:
+        validate(*args)
+    except FamilyValidationError as exc:
+        return exc.cube_id, exc.constraint
+    return None
+
+
+def _member(fa, k):
+    return FamilyAssignment(CubeFamily([fa.family[k]]), [fa.prime[k]], [fa.dprime[k]], fa.pool)
+
+
+def _grown(fa, rng):
+    """The family with a tenth of its members doubled in size, so that some meet."""
+    grow = rng.random(len(fa.family)) < 0.1
+    cubes = [Cube(q.center, q.half_side * (2.0 if g else 1.0)) for q, g in zip(fa.family, grow)]
+    return FamilyAssignment(CubeFamily(cubes), fa.prime, fa.dprime, fa.pool)
+
+
+def _reference_assignments():
+    for inst in suite_1d(40) + suite_2d(10) + [None]:
+        mu, p = (heavy_grid(2), 3.0) if inst is None else (inst.mu, inst.p)
+        prm = Params(p=p)
+        net, cover, _, lacs = build_pipeline(mu, prm)
+        ref = build_reference_family(mu, net, cover, lacs, prm)
+        yield mu, p, ref.assignment, ref.gamma_needed * (1 + 1e-9)
+
+
+def test_validation_matches_dense_reference():
+    """The same verdict, cube and reason as the all-pairs check, for every variant and
+    mass mode, on reference families at their own dilation and at half of it, and on
+    the same families with some members grown until they meet."""
+    rng = np.random.default_rng(5)
+    seen = set()
+    for mu, p, fa, gamma in _reference_assignments():
+        for cand in (fa, _grown(fa, rng)):
+            for variant in Variant:
+                for g in (gamma, gamma / 2):
+                    for mode in ("unit_sum", "mass_bound"):
+                        args = (cand, variant, mu, p, g, mode)
+                        want = _validation_error(_dense_validate_family, *args)
+                        assert _validation_error(validate_family, *args) == want
+                        seen.add(None if want is None else want[1].split(" ")[0])
+    assert {None, "family", "Q'", "Q''", "unit"} <= seen
+
+
+def test_admissible_members_match_one_by_one():
+    """The mask is the verdict of validating each member alone, and the estimate sums
+    the admissible members' values in member order, as one-member families did."""
+    for mu, p, fa, gamma in _reference_assignments():
+        f = np.random.default_rng(mu.m).normal(size=mu.m)
+        for variant in Variant:
+            ok = admissible_members(fa, variant, mu, p, gamma)
+            alone = [
+                _validation_error(_dense_validate_family, _member(fa, k), variant, mu, p, gamma) is None
+                for k in range(len(fa.family))
+            ]
+            assert ok.tolist() == alone
+            keep = np.nonzero(ok)[0]
+            want = sum(eval_family_functional(_member(fa, k), variant, mu, f, p, gamma=gamma) for k in keep)
+            assert members_value(fa, variant, mu, f, p, keep) == want
+
+
+def test_validate_family_memory_scales_with_members():
+    # the all-pairs intersection matrix needed 403 MiB here (3250 members)
+    mu = heavy_grid(4, 2)
+    prm = Params(p=3.0)
+    net, cover, _, lacs = build_pipeline(mu, prm)
+    ref = build_reference_family(mu, net, cover, lacs, prm)
+    tracemalloc.start()
+    try:
+        validate_family(ref.assignment, Variant.CR, mu, 3.0, ref.gamma_needed * (1 + 1e-9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ref.assignment.family) == 3250
     assert peak < 64 * 2**20

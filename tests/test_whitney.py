@@ -12,7 +12,6 @@ from sumspace.whitney import (
     PartitionOfUnity,
     assign_anchors,
     build_whitney,
-    partition_eval,
 )
 
 
@@ -24,15 +23,38 @@ def build_cover(mu, p=2.0, tau=9.0):
     return prm, net, cover
 
 
+def in_some_cube(cover, X):
+    """Reference: rows of X inside some closed cover cube, by scanning every cube."""
+    d = np.abs(X[:, None, :] - cover.centers[None, :, :])
+    return np.any(np.all(d <= cover.halves[None, :, None], axis=2), axis=1)
+
+
 def sample_covered_points(cover, rng, k):
     """Uniform box points that fall inside some cover cube."""
     box = cover.net.working_box
     out = []
     while len(out) < k:
         x = box.lo + rng.random(cover.n) * (box.hi - box.lo)
-        if cover.containing_cubes(x).size:
+        if in_some_cube(cover, x[None, :])[0]:
             out.append(x)
     return np.array(out)
+
+
+def phi_lookup(part, N, point, cube):
+    """phi of the pairs (point, cube) in ``part``, 0 for pairs without a term."""
+    keys = part.point * N + part.cube
+    want = point * N + cube
+    at = np.searchsorted(keys, want)
+    found = at < keys.size
+    found[found] = keys[at[found]] == want[found]
+    out = np.zeros(want.shape)
+    out[found] = part.phi[at[found]]
+    return out
+
+
+def per_point(part, P, values):
+    """Sums of per-term ``values`` over the terms of each of P points."""
+    return np.bincount(part.point, weights=values, minlength=P)
 
 
 def test_whitney_single_point_1d():
@@ -56,10 +78,10 @@ def test_whitney_covers_box_minus_holes():
     prm, net, cover = build_cover(mu)
     rng = np.random.default_rng(0)
     box = net.working_box
-    for _ in range(500):
-        x = box.lo + rng.random(1) * (box.hi - box.lo)
-        if cover.containing_cubes(x).size == 0:
-            assert cover.hole_index(x) >= 0, f"uncovered point {x} outside holes"
+    X = box.lo + rng.random((500, 1)) * (box.hi - box.lo)
+    part = PartitionOfUnity(cover).evaluate(X)
+    uncovered = ~in_some_cube(cover, X)
+    assert np.all(part.hole_net[uncovered] >= 0), "uncovered point outside holes"
 
 
 def test_whitney_interiors_disjoint():
@@ -172,36 +194,28 @@ def test_partition_sums_and_bounds():
     pou = PartitionOfUnity(cover)
     rng = np.random.default_rng(1)
     X = sample_covered_points(cover, rng, 300)
-    for x in X:
-        terms = pou.eval(x)
-        phis = np.array([t[1] for t in terms])
-        grads = np.array([t[2] for t in terms])
-        assert np.all(phis >= 0) and np.all(phis <= 1 + 1e-15)
-        assert abs(phis.sum() - 1.0) <= 1e-12
-        local = min(2 * cover.halves[t[0]] for t in terms)
-        assert np.max(np.abs(grads.sum(axis=0))) <= 1e-9 / local
-        for cid, phi, _ in terms:
-            assert np.max(np.abs(x - cover.centers[cid])) <= 9 / 8 * cover.halves[cid]
+    part = pou.evaluate(X)
+    part.check_defined()
+    assert np.all(part.phi >= 0) and np.all(part.phi <= 1 + 1e-15)
+    assert np.max(np.abs(per_point(part, 300, part.phi) - 1.0)) <= 1e-12
+    local = np.full(300, np.inf)
+    np.minimum.at(local, part.point, 2 * cover.halves[part.cube])
+    for ax in range(cover.n):
+        assert np.all(np.abs(per_point(part, 300, part.grad[:, ax])) <= 1e-9 / local)
+    off = np.abs(X[part.point] - cover.centers[part.cube])
+    assert np.all(off.max(axis=1) <= 9 / 8 * cover.halves[part.cube])
 
 
 def test_partition_lone_support_is_constant():
     mu = AtomicMeasure([[0.0]], [1.0])
     prm, net, cover = build_cover(mu)
-    # center of a large cube away from every other support
-    pou = PartitionOfUnity(cover)
-    found = False
-    for i in range(cover.size):
-        x = cover.centers[i]
-        ids = pou.support_ids(x)
-        b, _ = pou.bump_and_grad(ids, x[None, :])
-        if np.count_nonzero(b[0] > 0) == 1:
-            terms = pou.eval(x)
-            assert len(terms) == 1
-            assert terms[0][1] == pytest.approx(1.0, abs=0)
-            assert np.allclose(terms[0][2], 0.0)
-            found = True
-            break
-    assert found
+    # centers of large cubes away from every other support
+    part = PartitionOfUnity(cover).evaluate(cover.centers)
+    lone = np.bincount(part.point, minlength=cover.size) == 1
+    assert lone.any()
+    terms = lone[part.point]
+    assert np.all(part.phi[terms] == 1.0)
+    assert np.allclose(part.grad[terms], 0.0)
 
 
 def test_partition_gradient_finite_differences():
@@ -210,33 +224,33 @@ def test_partition_gradient_finite_differences():
     pou = PartitionOfUnity(cover)
     rng = np.random.default_rng(2)
     X = sample_covered_points(cover, rng, 60)
-    for x in X:
-        terms = pou.eval(x)
-        local = min(2 * cover.halves[t[0]] for t in terms)
-        step = 1e-6 * local
-        for cid, phi, grad in terms:
-            for ax in range(cover.n):
-                xp = x.copy()
-                xm = x.copy()
-                xp[ax] += step
-                xm[ax] -= step
-                pp = dict((c, v) for c, v, _ in pou.eval(xp)).get(cid, 0.0)
-                pm = dict((c, v) for c, v, _ in pou.eval(xm)).get(cid, 0.0)
-                fd = (pp - pm) / (2 * step)
-                scale = max(abs(grad[ax]), 1e-2 / local)
-                assert abs(fd - grad[ax]) <= 1e-5 * scale
+    part = pou.evaluate(X)
+    part.check_defined()
+    local = np.full(60, np.inf)
+    np.minimum.at(local, part.point, 2 * cover.halves[part.cube])
+    step = 1e-6 * local
+    for ax in range(cover.n):
+        shift = np.zeros_like(X)
+        shift[:, ax] = step
+        pp = phi_lookup(pou.evaluate(X + shift), cover.size, part.point, part.cube)
+        pm = phi_lookup(pou.evaluate(X - shift), cover.size, part.point, part.cube)
+        fd = (pp - pm) / (2 * step[part.point])
+        grad = part.grad[:, ax]
+        scale = np.maximum(np.abs(grad), 1e-2 / local[part.point])
+        assert np.all(np.abs(fd - grad) <= 1e-5 * scale)
 
 
 def test_partition_rejects_net_points_and_holes():
     mu = AtomicMeasure([[0.0]], [1.0])
     prm, net, cover = build_cover(mu)
+    pou = PartitionOfUnity(cover)
     with pytest.raises(PartitionDomainError, match="undefined on E"):
-        partition_eval(cover, net.points[0])
+        pou.evaluate(net.points[:1]).check_defined()
     if cover.hole_centers.shape[0]:
         hx = cover.hole_centers[0]
         if not np.any(np.all(hx == net.points, axis=1)):
-            with pytest.raises(PartitionDomainError):
-                partition_eval(cover, hx)
+            with pytest.raises(PartitionDomainError, match="inside an inner hole"):
+                pou.evaluate(hx[None, :]).check_defined()
 
 
 def test_partition_2d():
@@ -245,9 +259,9 @@ def test_partition_2d():
     prm, net, cover = build_cover(mu, p=2.5)
     pou = PartitionOfUnity(cover)
     X = sample_covered_points(cover, rng, 100)
-    for x in X:
-        terms = pou.eval(x)
-        assert abs(sum(t[1] for t in terms) - 1.0) <= 1e-12
+    part = pou.evaluate(X)
+    part.check_defined()
+    assert np.max(np.abs(per_point(part, 100, part.phi) - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -260,7 +274,9 @@ def test_bump_is_product_of_axis_factors(n):
     # points near the cube faces, where the ramps are strictly between 0 and 1
     pick = rng.integers(0, cover.size, size=400)
     X = cover.centers[pick] + cover.halves[pick, None] * rng.uniform(-1.2, 1.2, size=(400, n))
-    b, g = pou.bump_and_grad(ids, X)
+    # every (point, cube) pair, point by point
+    b, g = pou.bumps(np.tile(ids, 400), np.repeat(X, cover.size, axis=0))
+    b, g = b.reshape(400, cover.size), g.reshape(400, cover.size, n)
     fs, ds = zip(*(pou.axis_factor(ids, X[:, ax], ax) for ax in range(n)))
     if n == 1:
         assert np.array_equal(b, fs[0])

@@ -1,37 +1,49 @@
-"""Stage ladder of the geometry core on the heavy 2d grid.
+"""Stage ladder of the pipeline up to the reference family and the extension.
 
     PYTHONPATH=src python tools/ladder.py BENCH_<n>.json
 
-builds, for each side k in SIDES, the k x k grid of atoms of weight 100 at the
-integer points with p = 3 (the benchmark's grid2d measure at a larger k),
-and runs the stages that lead to the reference family one after the
+builds two kinds of rungs.  For each side k in SIDES, the k x k grid of
+atoms of weight 100 at the integer points with p = 3 (the benchmark's
+grid2d measure at a larger k).  For each m in ATOMS, the uniform 1d
+measure of m atoms with p = 2 that the benchmark's large1d workload makes
+(seed 0, its first input).  On each it runs the stages one after the
 other: ``build_net``, ``build_whitney``, ``assign_anchors``,
-``partition_lacunae`` and ``build_reference_family``.  Each stage is run
-twice on the same input: once untraced for its wall time and once under
-``tracemalloc`` for its peak of Python-allocated memory (numpy buffers
-included).  The JSON written holds, per rung, those two figures per stage
-and the counts that set the work: atoms, net points, cover cubes, holes,
-adjacency edges, lacunae, family members, pool cubes and weighted pairs.
+``partition_lacunae``, ``build_reference_family`` and ``build_extension``
+(of seeded normal values on the grid, of the workload's values in 1d).
+Each stage is run twice on the same input: once untraced for its wall time
+and once under ``tracemalloc`` for its peak of Python-allocated memory
+(numpy buffers included).  The JSON written holds, per rung, those two
+figures per stage and the counts that set the work: atoms, net points,
+cover cubes, holes, adjacency edges, lacunae, family members, pool cubes
+and weighted pairs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import platform
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
 from sumspace.concentration import Params, build_net
+from sumspace.decompose import build_extension
 from sumspace.functional import build_reference_family
 from sumspace.instances import heavy_grid
 from sumspace.lacunae import partition_lacunae
-from sumspace.whitney import assign_anchors, build_whitney
+from sumspace.whitney import PartitionOfUnity, assign_anchors, build_whitney
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402  (the benchmark's input generators)
 
 MIB = 1024.0 * 1024.0
 SIDES = (4, 8, 12)
+ATOMS = (512, 2048)
 
 
 def measure(stage):
@@ -48,9 +60,8 @@ def measure(stage):
     return out, {"wall_s": round(wall, 4), "peak_mib": round(peak / MIB, 2)}
 
 
-def rung(k: int) -> dict:
-    mu = heavy_grid(k)
-    prm = Params(p=3.0)
+def rung(mu, f, p: float) -> dict:
+    prm = Params(p=p)
     stages = {}
     net, stages["build_net"] = measure(lambda: build_net(mu, prm))
     cover, stages["build_whitney"] = measure(lambda: build_whitney(net))
@@ -61,8 +72,9 @@ def rung(k: int) -> dict:
     ref, stages["build_reference_family"] = measure(
         lambda: build_reference_family(mu, net, cover, fresh.pop(), prm)
     )
+    pou = PartitionOfUnity(cover)
+    _, stages["build_extension"] = measure(lambda: build_extension(f, mu, net, cover, pou, prm))
     return {
-        "side": k,
         "atoms": mu.m,
         "p": prm.p,
         "stages": stages,
@@ -81,6 +93,17 @@ def rung(k: int) -> dict:
     }
 
 
+def grid_rung(k: int) -> dict:
+    mu = heavy_grid(k)
+    return {"instance": "heavy_grid", "side": k, **rung(mu, np.random.default_rng(0).normal(size=mu.m), 3.0)}
+
+
+def uniform_rung(m: int) -> dict:
+    wl = WORKLOADS["large1d"]
+    inst = wl.make(0, 0, dataclasses.replace(wl.sizes["full"], atoms=m))
+    return {"instance": "uniform_1d", **rung(inst.mu, inst.f, inst.p)}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -88,11 +111,15 @@ def main() -> None:
     ap.add_argument("out", help="JSON file to write")
     args = ap.parse_args()
     rungs = []
-    for k in SIDES:
-        rungs.append(rung(k))
-        print(json.dumps(rungs[-1]), flush=True)
+    for make, sizes in ((uniform_rung, ATOMS), (grid_rung, SIDES)):
+        for size in sizes:
+            rungs.append(make(size))
+            print(json.dumps(rungs[-1]), flush=True)
     doc = {
-        "instance": "heavy 2d grid: k x k atoms of weight 100 at the integer points, p = 3",
+        "instances": {
+            "heavy_grid": "k x k atoms of weight 100 at the integer points, p = 3",
+            "uniform_1d": "the large1d benchmark input (seed 0, index 0) with m atoms, p = 2",
+        },
         "host": {"machine": platform.machine(), "python": platform.python_version(),
                  "numpy": np.__version__},
         "rungs": rungs,
