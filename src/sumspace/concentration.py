@@ -102,17 +102,24 @@ _WINDOW = 32
 def _radius_rows(mu: AtomicMeasure, kappa: float, X: np.ndarray, width: int):
     """Radii of the rows of ``X`` from windows of ``width`` atoms.
 
-    In 1d each row sees the ``width`` consecutive atoms in sorted-position
-    order around it; ``cut`` is the distance to the nearest atom outside
-    them, so the window holds every atom closer than ``cut``.  Otherwise
-    (2d, or a window of every atom) ``cut`` is infinite.  The window is put
-    in atom-index order and stable-sorted by distance, the order of a stable
-    argsort over all atoms, so prefix masses below ``cut`` are the same
-    sums.  Returns the radii, ``nan`` where no crossing below ``cut`` can be
-    trusted.
+    Each row sees a window of ``width`` atoms and a ``cut`` such that the
+    window holds every atom closer than ``cut``.  In 1d the window is the
+    ``width`` consecutive atoms in sorted-position order around the row and
+    ``cut`` the distance to the nearest atom outside them.  In 2d it is the
+    row's ``width`` sup-norm nearest atoms from ``mu``'s KD-tree, and
+    ``cut`` the distance of the next one, lowered by a few ulps so that a
+    rounding of the tree's distances can only lower it further.  A window of
+    every atom has an infinite ``cut``.  The window is put in atom-index
+    order and stable-sorted by distance, the order of a stable argsort over
+    all atoms, so prefix masses below ``cut`` are the same sums.  Returns
+    the radii, ``nan`` where no crossing below ``cut`` can be trusted.
     """
     N = X.shape[0]
-    if mu.n == 1 and width < mu.m:
+    if width >= mu.m:
+        idx = None
+        P = mu.positions[None, :, :]
+        cut = np.full((N, 1), np.inf)
+    elif mu.n == 1:
         x = X[:, 0]
         s = np.clip(np.searchsorted(mu._sorted_x, x) - width // 2, 0, mu.m - width)
         idx = np.sort(mu._order[s[:, None] + np.arange(width)], axis=1)
@@ -122,10 +129,14 @@ def _radius_rows(mu: AtomicMeasure, kappa: float, X: np.ndarray, width: int):
         xs = np.concatenate([[-np.inf], mu._sorted_x, [np.inf]])
         cut = np.minimum(np.abs(x - xs[s]), np.abs(xs[s + width + 1] - x))[:, None]
     else:
-        idx = None
-        P = mu.positions[None, :, :]
-        cut = np.full((N, 1), np.inf)
-    D = np.max(np.abs(X[:, None, :] - P), axis=2)
+        dist, near = mu._tree.query(X, k=width + 1, p=np.inf)
+        idx = np.sort(near[:, :width], axis=1)
+        P = mu.positions[idx]
+        cut = dist[:, width:] * (1.0 - 4.0 * np.finfo(float).eps)
+    # sup-norm distances to the window, one axis at a time
+    D = np.abs(X[:, None, 0] - P[..., 0])
+    for d in range(1, mu.n):
+        np.maximum(D, np.abs(X[:, None, d] - P[..., d]), out=D)
     order = np.argsort(D, axis=1, kind="stable")
     Ds = np.take_along_axis(D, order, axis=1)
     atoms = order if idx is None else np.take_along_axis(idx, order, axis=1)
@@ -246,56 +257,62 @@ def _default_box(mu: AtomicMeasure, p: float, inflation: float) -> Cube:
 
 
 def _layer_candidate_grid(mu: AtomicMeasure, box: Cube, j: int, h: float) -> np.ndarray:
-    """Lattice points of spacing ``h`` covering {dist(., atoms) <= 2^-j} in the box."""
+    """Lattice points of spacing ``h`` covering {dist(., atoms) <= 2^-j} in the box.
+
+    Each atom reaches a box of lattice indices, clipped to the working box.
+    The boxes are enumerated together and keyed row-major, every axis but
+    the first by its rank among the indices it takes, so the keys stay
+    within int64 however far apart the atoms lie; ``np.unique`` of the keys
+    gives the union in lexicographic order.
+    """
     reach = 2.0 ** (-j) + h
     lo = box.lo
     n = mu.n
     max_idx = np.maximum(np.ceil((box.hi - lo) / h).astype(int), 0)
-    if n == 1:
-        a = mu.positions[:, 0]
-        i0 = np.maximum(np.floor((a - reach - lo[0]) / h).astype(int), 0)
-        i1 = np.minimum(np.ceil((a + reach - lo[0]) / h).astype(int), max_idx[0])
-        i0, i1 = i0[i1 >= i0], i1[i1 >= i0]
-        if not i0.size:
-            return np.zeros((0, 1))
-        # union of the ranges i0..i1: concatenated aranges, then np.unique
-        counts = i1 - i0 + 1
-        starts = np.repeat(i0 - np.cumsum(counts) + counts, counts)
-        idx = np.unique(starts + np.arange(int(counts.sum())))
-        return lo[None, :] + idx.astype(float)[:, None] * h
-    keys: set[tuple[int, ...]] = set()
-    for a in mu.positions:
-        i0 = np.floor((a - reach - lo) / h).astype(int)
-        i1 = np.ceil((a + reach - lo) / h).astype(int)
-        i0 = np.maximum(i0, 0)
-        i1 = np.minimum(i1, max_idx)
-        if np.any(i1 < i0):
-            continue
-        ranges = [range(int(i0[d]), int(i1[d]) + 1) for d in range(n)]
-        keys.update(itertools.product(*ranges))
-    if not keys:
+    A = mu.positions
+    i0 = np.maximum(np.floor((A - reach - lo) / h).astype(int), 0)
+    i1 = np.minimum(np.ceil((A + reach - lo) / h).astype(int), max_idx)
+    keep = np.all(i1 >= i0, axis=1)
+    i0, i1 = i0[keep], i1[keep]
+    if not i0.shape[0]:
         return np.zeros((0, n))
-    idx = np.array(sorted(keys), dtype=float)
-    return lo[None, :] + idx * h
+    # entry t of atom a's box, row-major: the last axis varies fastest
+    counts = i1 - i0 + 1
+    sizes = np.prod(counts, axis=1)
+    atom = np.repeat(np.arange(sizes.shape[0]), sizes)
+    t = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    idx = np.empty((t.shape[0], n), dtype=int)
+    for d in range(n - 1, 0, -1):
+        c = counts[atom, d]
+        idx[:, d] = i0[atom, d] + t % c
+        t //= c
+    idx[:, 0] = i0[atom, 0] + t
+    # flat keys over the first axis and the ranks of the others
+    axes = [np.unique(idx[:, d], return_inverse=True) for d in range(1, n)]
+    dims = (int(max_idx[0]) + 1, *[vals.shape[0] for vals, _ in axes])
+    keys = np.ravel_multi_index((idx[:, 0], *[rank for _, rank in axes]), dims)
+    flat = np.unravel_index(np.unique(keys), dims)
+    idx = np.stack([flat[0]] + [vals[r] for (vals, _), r in zip(axes, flat[1:])], axis=1)
+    return lo[None, :] + idx.astype(float) * h
 
 
 def _greedy_layer_net(cand: np.ndarray, radii: np.ndarray, eps: float):
-    """Maximal eps-separated subset in rho_R, scanning in lexicographic order."""
+    """Maximal eps-separated subset in rho_R, greedy in lexicographic order.
+
+    The first live candidate is kept, and one pass over the later ones drops
+    those within ``rho < eps`` of it: the sums a candidate-by-candidate scan
+    against the kept points forms, so the kept set is the same.
+    """
     order = np.lexsort(cand.T[::-1])
-    keep_pts: list[np.ndarray] = []
-    keep_r: list[float] = []
-    for i in order:
-        x, r = cand[i], radii[i]
-        if keep_pts:
-            P = np.array(keep_pts)
-            rho = np.max(np.abs(P - x), axis=1) + np.array(keep_r) + r
-            if np.min(rho) < eps:
-                continue
-        keep_pts.append(x)
-        keep_r.append(float(r))
-    if not keep_pts:
-        return np.zeros((0, cand.shape[1])), np.zeros(0)
-    return np.array(keep_pts), np.array(keep_r)
+    C, R = cand[order], radii[order]
+    live = np.arange(C.shape[0])
+    keep = []
+    while live.size:
+        k, live = live[0], live[1:]
+        keep.append(k)
+        rho = (np.max(np.abs(C[live] - C[k]), axis=1) + R[k]) + R[live]
+        live = live[~(rho < eps)]
+    return C[keep], R[keep]
 
 
 @dataclass
@@ -304,6 +321,8 @@ class _BuildStats:
     j_max: int
     candidates: int
     widened: int
+    kept: int  # points the layer sweeps kept
+    pruned: int  # points left after pruning, before the separation filter
 
 
 def _build_once(mu: AtomicMeasure, params: Params, box: Cube, theta: float):
@@ -325,10 +344,10 @@ def _build_once(mu: AtomicMeasure, params: Params, box: Cube, theta: float):
     layer_R: dict[int, np.ndarray] = {}
     for j in range(j_min, j_max + 1):
         h = theta * 2.0 ** (-j)
-        grid = _layer_candidate_grid(mu, box, j, h)
-        pts = [grid] if grid.size else []
-        pts.append(fixed_pts)
-        cand = np.unique(np.concatenate(pts, axis=0), axis=0)
+        cand = np.concatenate([_layer_candidate_grid(mu, box, j, h), fixed_pts], axis=0)
+        # the distinct candidates in lexicographic order
+        cand = cand[np.lexsort(cand.T[::-1])]
+        cand = cand[np.concatenate([[True], np.any(cand[1:] != cand[:-1], axis=1)])]
         R, w = _radii(mu, p, cand)
         n_cand += R.size
         widened += w
@@ -384,7 +403,8 @@ def _build_once(mu: AtomicMeasure, params: Params, box: Cube, theta: float):
 
     delta = (2.0 + 86.0 * theta) / 83.0
     net = ConcentrationNet(P, R, L, box, delta, theta, params)
-    return net, _BuildStats(j_min, j_max, n_cand, widened)
+    kept = sum(pts.shape[0] for pts in layer_pts.values())
+    return net, _BuildStats(j_min, j_max, n_cand, widened, kept, len(pruned_pts))
 
 
 def _verification_points(mu: AtomicMeasure, box: Cube, per_axis: int = 9) -> np.ndarray:
@@ -435,9 +455,10 @@ def build_net(
         if not bad:
             log.info(
                 "net: m=%d n=%d p=%g, layers %d..%d, %d candidates, "
-                "%d widened radius rows, %d points, %d rounds, theta %g",
+                "%d widened radius rows, layer sweeps kept %d, pruning left %d, "
+                "separation left %d points, %d rounds, theta %g",
                 mu.m, mu.n, params.p, stats.j_min, stats.j_max, candidates,
-                widened, net.size, rounds, th,
+                widened, stats.kept, stats.pruned, net.size, rounds, th,
             )
             return net
         last_violation = max(bad, key=lambda t: t[1])
@@ -520,43 +541,27 @@ def verify_concentration(
         "max mu(5K)/bound",
     )
 
-    worst_sep = np.inf
-    ok_sep = True
-    for i in range(net.size):
-        for k in range(i + 1, net.size):
-            gap = np.max(np.abs(net.points[i] - net.points[k]))
-            need = 6.0 * (net.radii[i] + net.radii[k])
-            worst_sep = min(worst_sep, gap / need)
-            if gap < need:
-                ok_sep = False
+    # every pair i < k once, each ratio divided as for one pair, then the min
+    i, k = np.triu_indices(net.size, 1)
+    diff = np.abs(net.points[i] - net.points[k])
+    gap = np.max(diff, axis=1)
+    need = 6.0 * (net.radii[i] + net.radii[k])
     rep.add(
         "net_separation",
-        ok_sep,
+        not np.any(gap < need),
         net.size * (net.size - 1) // 2,
-        worst_sep if net.size > 1 else np.inf,
+        np.min(gap / need) if net.size > 1 else np.inf,
         "min gap/6(R1+R2)",
     )
 
     # diam K + diam K' <= dist(K, K') / 2 for distinct net cubes
-    ok_kk = True
-    worst_kk = np.inf
-    for i in range(net.size):
-        for k in range(i + 1, net.size):
-            gap = np.max(
-                np.maximum(
-                    np.abs(net.points[i] - net.points[k]) - (net.radii[i] + net.radii[k]),
-                    0.0,
-                )
-            )
-            need = 2.0 * (d[i] + d[k])
-            worst_kk = min(worst_kk, gap / need)
-            if gap < need:
-                ok_kk = False
+    gap = np.max(np.maximum(diff - (net.radii[i] + net.radii[k])[:, None], 0.0), axis=1)
+    need = 2.0 * (d[i] + d[k])
     rep.add(
         "cube_separation",
-        ok_kk,
+        not np.any(gap < need),
         net.size * (net.size - 1) // 2,
-        worst_kk if net.size > 1 else np.inf,
+        np.min(gap / need) if net.size > 1 else np.inf,
         "min dist/2(diam+diam')",
     )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .concentration import ConcentrationNet
-from .geometry import Cube
+from .geometry import Cube, near_pairs
 from .whitney import WhitneyCover
 
 __all__ = [
@@ -45,16 +45,38 @@ class Lacuna:
     projection_gamma: float | None = None
 
 
-def _net_points_in(cover: WhitneyCover, net: ConcentrationNet, factor: float) -> list[frozenset]:
-    gaps = np.abs(cover.centers[:, None, :] - net.points[None, :, :])
-    inside = np.all(gaps <= factor * cover.halves[:, None, None], axis=2)
-    return [frozenset(np.nonzero(inside[i])[0].tolist()) for i in range(cover.size)]
+def _net_points_in(
+    cover: WhitneyCover, net: ConcentrationNet, *factors: float
+) -> list[list[frozenset]]:
+    """Per factor, the ids of the net points inside ``factor * Q`` of every cover cube.
+
+    One ``near_pairs`` join at the largest factor serves every factor.  Cubes
+    that see the same slice share one frozenset: a cover has tens of
+    thousands of cubes but a few hundred distinct slices.
+    """
+    reach = max(factors) * cover.halves
+    rows, cols = near_pairs(cover.centers, reach, net.points, np.zeros(net.size))
+    gaps = np.max(np.abs(cover.centers[rows] - net.points[cols]), axis=1)
+    out = []
+    for factor in factors:
+        # pairs come sorted by cube, then by net point
+        inside = gaps <= factor * cover.halves[rows]
+        ids = cols[inside].tolist()
+        ends = np.cumsum(np.bincount(rows[inside], minlength=cover.size)).tolist()
+        shared: dict[tuple, frozenset] = {}
+        slices = []
+        for a, b in zip([0] + ends[:-1], ends):
+            key = tuple(ids[a:b])
+            if key not in shared:
+                shared[key] = frozenset(key)
+            slices.append(shared[key])
+        out.append(slices)
+    return out
 
 
 def partition_lacunae(cover: WhitneyCover, net: ConcentrationNet) -> list[Lacuna]:
     """Assign every cover cube to exactly one lacuna."""
-    in10 = _net_points_in(cover, net, INNER_DILATION)
-    in90 = _net_points_in(cover, net, OUTER_DILATION)
+    in10, in90 = _net_points_in(cover, net, INNER_DILATION, OUTER_DILATION)
     for i in range(cover.size):
         if not in90[i]:
             raise LacunaError(f"cube {i} sees no net point inside 90Q")

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import Cube, near_pairs, segment_reduce
 
@@ -64,7 +65,8 @@ class AtomicMeasure:
     """Non-trivial non-negative finite atomic measure with exact cube queries.
 
     Atoms are indexed for cube-range queries: sorted coordinates in 1d, a
-    uniform bucket grid in 2d.  The index narrows candidates; membership is
+    uniform bucket grid in 2d, plus a KD-tree in 2d for the nearest atoms of
+    the concentration radius.  The index narrows candidates; membership is
     always decided by the exact closed-cube test, so masses are exact.
     """
 
@@ -126,6 +128,7 @@ class AtomicMeasure:
             for i, key in enumerate(map(tuple, idx)):
                 buckets.setdefault(key, []).append(i)
             self._buckets = {k: np.array(v, dtype=int) for k, v in buckets.items()}
+            self._tree = cKDTree(self.positions)
 
     def _candidates(self, cube: Cube) -> np.ndarray:
         if self.n == 1:

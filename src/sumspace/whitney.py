@@ -248,25 +248,38 @@ def build_whitney(net: ConcentrationNet, max_depth: int = 60) -> WhitneyCover:
 def assign_anchors(cover: WhitneyCover, net: ConcentrationNet, params: Params) -> WhitneyCover:
     """Attach to each cube the nearest net point (ties to the lower id).
 
-    The nearest point always lies in ``9 Q`` because ``dist(Q, E) <= 4 diam Q``;
-    a violation of ``tau Q`` indicates an inconsistent net/cover pair.
+    The nearest point always lies in ``9 Q`` because ``dist(Q, E) <= 4 diam Q``,
+    so the candidates are the net points a ``near_pairs`` join finds in
+    ``tau Q`` (``tau >= 9``); a cube without one, or whose nearest point lies
+    outside ``tau Q``, indicates an inconsistent net/cover pair.
     """
     E = net.points
-    gaps = np.abs(cover.centers[:, None, :] - E[None, :, :]) - cover.halves[:, None, None]
-    np.maximum(gaps, 0.0, out=gaps)
-    dists = np.max(gaps, axis=2)
-    anchors = np.argmin(dists, axis=1)
-    center_gap = np.max(
-        np.abs(cover.centers - E[anchors]), axis=1
-    )
+    N = cover.size
+    rows, cols = near_pairs(cover.centers, params.tau * cover.halves, E, np.zeros(net.size))
+
+    def dists(rows, cols):
+        gaps = np.abs(cover.centers[rows] - E[cols]) - cover.halves[rows, None]
+        return np.max(np.maximum(gaps, 0.0), axis=1)
+
+    # each cube's first pair by distance, then by id: ties go to the lower id
+    order = np.lexsort((cols, dists(rows, cols), rows))
+    found, first = np.unique(rows[order], return_index=True)
+    anchors = np.full(N, -1)
+    anchors[found] = cols[order[first]]
+    center_gap = np.full(N, np.inf)
+    center_gap[found] = np.max(np.abs(cover.centers[found] - E[anchors[found]]), axis=1)
     bad = center_gap > params.tau * cover.halves * (1 + 1e-12)
     if np.any(bad):
         i = int(np.nonzero(bad)[0][0])
+        if anchors[i] < 0:
+            # no candidate: the nearest of all net points names the gap
+            anchors[i] = np.argmin(dists(np.full(net.size, i), np.arange(net.size)))
+            center_gap[i] = np.max(np.abs(cover.centers[i] - E[anchors[i]]))
         raise AnchorError(
             f"anchor of cube {i} lies outside tau*Q "
             f"(gap {center_gap[i]:g} > {params.tau * cover.halves[i]:g})"
         )
-    cover.anchors = anchors.astype(int)
+    cover.anchors = anchors
     return cover
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import logging
 import tracemalloc
@@ -9,10 +10,13 @@ import pytest
 from sumspace.concentration import (
     _WINDOW,
     Params,
+    _build_once,
     _corners,
     _default_box,
+    _greedy_layer_net,
     _layer_candidate_grid,
     _radii,
+    _radius_rows,
     build_net,
     concentration_radius,
     concentration_radius_batch,
@@ -20,6 +24,7 @@ from sumspace.concentration import (
     verify_concentration,
 )
 from sumspace.geometry import Cube
+from sumspace.instances import heavy_grid, suite_1d, suite_2d
 from sumspace.measure import AtomicMeasure
 
 
@@ -235,6 +240,36 @@ def test_radius_kernel_2d_matches_dense():
     assert np.array_equal(got.view(np.int64), _dense_radius(mu, 3.0, X).view(np.int64))
 
 
+def test_radius_kd_window_matches_dense_2d():
+    # m > _WINDOW: the rows start from the KD-tree window and widen to the dense kernel
+    rng = np.random.default_rng(29)
+    widened = 0
+    for m, layout in [
+        (33, "rounded"), (64, "lattice"), (150, "uniform"), (300, "rounded"), (400, "lattice")
+    ]:
+        if layout == "rounded":
+            pos = np.round(rng.uniform(-2, 2, size=(m, 2)), 1)
+        elif layout == "lattice":
+            pos = rng.integers(0, 9, size=(m, 2)).astype(float)
+        else:
+            pos = rng.uniform(-2, 2, size=(m, 2))
+        for weights in (2.0 ** rng.uniform(-4, 4, size=m), np.full(m, 1e-3)):
+            mu = AtomicMeasure(pos, weights)
+            X = np.concatenate([
+                pos,
+                pos + 0.05,
+                np.round(rng.uniform(-3, 3, size=(100, 2)), 1),
+                rng.uniform(-3, 3, size=(100, 2)),
+                rng.uniform(-1e3, 1e3, size=(20, 2)),
+            ])
+            for p in (2.5, 6.0):
+                got, w = _radii(mu, p, X)
+                want = _radius_rows(mu, 1.0 / (p - 2), X, mu.m)
+                widened += w
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert widened > 0
+
+
 @pytest.mark.parametrize("n,p,seed", [(1, 1.5, 0), (1, 3.0, 1), (2, 2.5, 2), (2, 3.0, 3)])
 def test_layer_bracket_bounds_radius_on_box(n, p, seed):
     rng = np.random.default_rng(seed)
@@ -248,7 +283,7 @@ def test_layer_bracket_bounds_radius_on_box(n, p, seed):
     assert np.max(concentration_radius_batch(mu, p, sample)) <= bracket
 
 
-def _loop_candidate_grid(mu, box, j, h):
+def _set_lattice(mu, box, j, h):
     """Reference: the union of per-atom index ranges as a set of tuples."""
     reach = 2.0 ** (-j) + h
     lo = box.lo
@@ -274,8 +309,85 @@ def test_layer_candidate_grid_1d_matches_loop():
             for theta in (0.125, 0.03125):
                 h = theta * 2.0 ** (-j)
                 got = _layer_candidate_grid(mu, box, j, h)
-                want = _loop_candidate_grid(mu, box, j, h)
+                want = _set_lattice(mu, box, j, h)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("which", ["grid3", "grid4", "uniform1d"])
+def test_layer_candidate_grid_matches_set_lattice_on_every_layer(which):
+    if which == "uniform1d":
+        rng = np.random.default_rng(0)
+        mu = AtomicMeasure(rng.uniform(0, 1, size=(256, 1)), 2.0 ** rng.uniform(-2, 2, size=256))
+        prm = Params(p=2.0)
+    else:
+        mu, prm = heavy_grid(int(which[-1])), Params(p=3.0)
+    box = _default_box(mu, prm.p, 4.0)
+    for theta in (0.125, 0.0625):
+        _, stats = _build_once(mu, prm, box, theta)
+        for j in range(stats.j_min, stats.j_max + 1):
+            h = theta * 2.0 ** (-j)
+            got = _layer_candidate_grid(mu, box, j, h)
+            want = _set_lattice(mu, box, j, h)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_layer_candidate_grid_far_apart_atoms():
+    # (index range per axis)^2 overflows int64; the atoms reach a few points each
+    mu = AtomicMeasure([[-1e5, 0.0], [1e5, 3e5], [1e5, 3e5 + 1e-6]], [1.0, 1.0, 1.0])
+    box = Cube(np.array([0.0, 1e5]), 1e6)
+    j = 20
+    h = 0.125 * 2.0 ** (-j)
+    assert (2e6 / h) ** 2 > 2.0**63
+    got = _layer_candidate_grid(mu, box, j, h)
+    want = _set_lattice(mu, box, j, h)
+    assert got.shape[0] > 0 and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _scan_layer_net(cand, radii, eps):
+    """Reference: the candidate-by-candidate scan against the kept points."""
+    order = np.lexsort(cand.T[::-1])
+    keep_pts, keep_r = [], []
+    for i in order:
+        x, r = cand[i], radii[i]
+        if keep_pts:
+            P = np.array(keep_pts)
+            rho = np.max(np.abs(P - x), axis=1) + np.array(keep_r) + r
+            if np.min(rho) < eps:
+                continue
+        keep_pts.append(x)
+        keep_r.append(float(r))
+    if not keep_pts:
+        return np.zeros((0, cand.shape[1])), np.zeros(0)
+    return np.array(keep_pts), np.array(keep_r)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_layer_sweep_matches_scan(n):
+    rng = np.random.default_rng(31 + n)
+    for _ in range(40):
+        k = int(rng.integers(1, 400))
+        # coarse coordinates tie in the leading axes; few distinct radii
+        digits = int(rng.integers(0, 3))
+        cand = np.unique(np.round(rng.uniform(-4, 4, size=(k, n)), digits), axis=0)
+        cand = cand[rng.permutation(cand.shape[0])]
+        radii = rng.choice(2.0 ** -rng.integers(0, 4, size=3), size=cand.shape[0])
+        eps = float(rng.choice([0.1, 0.5, 1.0, 3.0, 7.0]))
+        got_p, got_r = _greedy_layer_net(cand, radii, eps)
+        want_p, want_r = _scan_layer_net(cand, radii, eps)
+        assert got_p.tobytes() == want_p.tobytes() and got_r.tobytes() == want_r.tobytes()
+        assert got_p.shape == want_p.shape
+
+
+def test_nets_match_pinned_digest():
+    # the nets of the acceptance suites and the small heavy grids, bit for bit
+    h = hashlib.sha256()
+    cases = [(inst.mu, inst.p) for inst in suite_1d() + suite_2d()]
+    cases += [(heavy_grid(k), 3.0) for k in (2, 3, 4, 5)]
+    for mu, p in cases:
+        net = build_net(mu, Params(p=p))
+        for a in (net.points, net.radii, net.layers.astype(np.int64)):
+            h.update(a.tobytes())
+    assert h.hexdigest() == "8aa5a5df98f99c50393731c8f1e7bb219cea8c2c1cc8afae1fcd0f9f75f2746a"
 
 
 def test_covering_violations_match_per_point_loop():
@@ -311,6 +423,10 @@ def test_build_net_logs_one_info_line(caplog):
     assert f"{net.size} points, 1 rounds, theta 0.125" in msg
     widened = int(msg.split(" widened radius rows")[0].rsplit(" ", 1)[1])
     assert widened > 0
+    kept = int(msg.split("layer sweeps kept ")[1].split(",")[0])
+    pruned = int(msg.split("pruning left ")[1].split(",")[0])
+    assert f"separation left {net.size} points" in msg
+    assert kept >= pruned >= net.size >= 1
     caplog.clear()
     with caplog.at_level(logging.ERROR, logger="sumspace.concentration"):
         build_net(mu, Params(p=2.0))

@@ -1,15 +1,22 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sumspace.concentration import Params, build_net
+from sumspace.instances import heavy_grid, suite_1d, suite_2d
 from sumspace.lacunae import (
+    INNER_DILATION,
+    OUTER_DILATION,
+    _net_points_in,
     contact_graph,
     partition_lacunae,
     project_lacuna,
     projection_multiplicity,
 )
 from sumspace.measure import AtomicMeasure
-from sumspace.whitney import assign_anchors, build_whitney
+from sumspace.whitney import AnchorError, assign_anchors, build_whitney
 
 
 def pipeline(mu, p=2.0):
@@ -135,3 +142,87 @@ def test_contact_graph():
                 expected.add((min(a, b), max(a, b)))
     assert edges == expected
     assert report["max_contacts"] <= len(lacs)
+
+
+def _dense_anchors(cover, net, params):
+    """Reference: the nearest net point of every cube from the dense gap array."""
+    E = net.points
+    gaps = np.abs(cover.centers[:, None, :] - E[None, :, :]) - cover.halves[:, None, None]
+    np.maximum(gaps, 0.0, out=gaps)
+    anchors = np.argmin(np.max(gaps, axis=2), axis=1)
+    center_gap = np.max(np.abs(cover.centers - E[anchors]), axis=1)
+    bad = center_gap > params.tau * cover.halves * (1 + 1e-12)
+    if np.any(bad):
+        i = int(np.nonzero(bad)[0][0])
+        raise AnchorError(
+            f"anchor of cube {i} lies outside tau*Q "
+            f"(gap {center_gap[i]:g} > {params.tau * cover.halves[i]:g})"
+        )
+    return anchors
+
+
+def _dense_net_points_in(cover, net, factor):
+    """Reference: the net points in ``factor * Q`` from the dense cube x point array."""
+    gaps = np.abs(cover.centers[:, None, :] - net.points[None, :, :])
+    inside = np.all(gaps <= factor * cover.halves[:, None, None], axis=2)
+    return [frozenset(np.nonzero(inside[i])[0].tolist()) for i in range(cover.size)]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except AnchorError as e:
+        return str(e)
+
+
+def test_anchors_and_slices_match_dense_reference():
+    cases = [(i.mu, i.p) for i in suite_1d()[:30] + suite_2d()[:20]]
+    cases += [(heavy_grid(k), 3.0) for k in (2, 3, 4)]
+    errors = boundary_hits = 0
+    for mu, p in cases:
+        prm, net, cover = pipeline(mu, p)
+        assert np.array_equal(cover.anchors, _dense_anchors(cover, net, prm))
+        # and a net of points on the corners of some cubes' 10Q and 90Q
+        i = np.arange(0, cover.size, max(1, cover.size // 7))
+        c, h = cover.centers[i], cover.halves[i, None]
+        edge = np.concatenate([c + INNER_DILATION * h, c + OUTER_DILATION * h])
+        boundary_hits += int(np.sum(np.abs(edge[: i.size] - c) == INNER_DILATION * h))
+        for pts in (net, dataclasses.replace(net, points=edge)):
+            got = _net_points_in(cover, pts, INNER_DILATION, OUTER_DILATION)
+            for factor, slices in zip((INNER_DILATION, OUTER_DILATION), got):
+                assert slices == _dense_net_points_in(cover, pts, factor)
+                assert all(type(k) is int for s in slices for k in s)
+        # nets that do not fit the cover: the same anchors or the same message
+        shifted = [dataclasses.replace(net, points=net.points + s * net.radii[:, None])
+                   for s in (0.7, -2.0, 1e3)]
+        if net.size > 1:
+            shifted.append(dataclasses.replace(
+                net, points=net.points[1:], radii=net.radii[1:], layers=net.layers[1:]))
+        for other in shifted:
+            for tau in (9.0, 12.0):
+                q = Params(p=p, tau=tau)
+                want = _outcome(lambda: _dense_anchors(cover, other, q))
+                got = _outcome(lambda: assign_anchors(dataclasses.replace(cover), other, q).anchors)
+                if isinstance(want, str):
+                    errors += 1
+                    assert got == want
+                else:
+                    assert np.array_equal(got, want)
+    assert errors > 0 and boundary_hits > 0
+
+
+def test_anchor_and_slice_memory_scales_with_cubes():
+    # the dense cube x net-point arrays peaked near 50 MiB each here
+    mu = heavy_grid(8)
+    prm = Params(p=3.0)
+    net = build_net(mu, prm)
+    cover = build_whitney(net)
+    tracemalloc.start()
+    try:
+        assign_anchors(cover, net, prm)
+        slices = _net_points_in(cover, net, INNER_DILATION, OUTER_DILATION)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cover.size > 20000 and len(slices[1]) == cover.size
+    assert peak < 16 * 2**20

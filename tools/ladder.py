@@ -2,14 +2,15 @@
 
     PYTHONPATH=src python tools/ladder.py BENCH_<n>.json
 
-builds two kinds of rungs.  For each side k in SIDES, the k x k grid of
+builds three kinds of rungs.  For each side k in SIDES, the k x k grid of
 atoms of weight 100 at the integer points with p = 3 (the benchmark's
 grid2d measure at a larger k).  For each m in ATOMS, the uniform 1d
 measure of m atoms with p = 2 that the benchmark's large1d workload makes
-(seed 0, its first input).  On each it runs the stages one after the
-other: ``build_net``, ``build_whitney``, ``assign_anchors``,
+(seed 0, its first input).  For each m in ATOMS_2D, m atoms uniform on
+[0, 1]^2 with weights 2^U(-2, 2) and p = 3 (seed 0).  On each it runs the
+stages one after the other: ``build_net``, ``build_whitney``, ``assign_anchors``,
 ``partition_lacunae``, ``build_reference_family`` and ``build_extension``
-(of seeded normal values on the grid, of the workload's values in 1d).
+(of seeded normal values in 2d, of the workload's values in 1d).
 Each stage is run twice on the same input: once untraced for its wall time
 and once under ``tracemalloc`` for its peak of Python-allocated memory
 (numpy buffers included).  The JSON written holds, per rung, those two
@@ -36,6 +37,7 @@ from sumspace.decompose import build_extension
 from sumspace.functional import build_reference_family
 from sumspace.instances import heavy_grid
 from sumspace.lacunae import partition_lacunae
+from sumspace.measure import AtomicMeasure
 from sumspace.whitney import PartitionOfUnity, assign_anchors, build_whitney
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -44,6 +46,7 @@ from workloads import WORKLOADS  # noqa: E402  (the benchmark's input generators
 MIB = 1024.0 * 1024.0
 SIDES = (4, 8, 12)
 ATOMS = (512, 2048)
+ATOMS_2D = (8, 32, 128)
 
 
 def measure(stage):
@@ -104,6 +107,12 @@ def uniform_rung(m: int) -> dict:
     return {"instance": "uniform_1d", **rung(inst.mu, inst.f, inst.p)}
 
 
+def uniform_2d_rung(m: int) -> dict:
+    rng = np.random.default_rng(0)
+    mu = AtomicMeasure(rng.uniform(0, 1, size=(m, 2)), 2.0 ** rng.uniform(-2, 2, size=m))
+    return {"instance": "uniform_2d", **rung(mu, rng.normal(size=m), 3.0)}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -111,7 +120,7 @@ def main() -> None:
     ap.add_argument("out", help="JSON file to write")
     args = ap.parse_args()
     rungs = []
-    for make, sizes in ((uniform_rung, ATOMS), (grid_rung, SIDES)):
+    for make, sizes in ((uniform_rung, ATOMS), (uniform_2d_rung, ATOMS_2D), (grid_rung, SIDES)):
         for size in sizes:
             rungs.append(make(size))
             print(json.dumps(rungs[-1]), flush=True)
@@ -119,6 +128,7 @@ def main() -> None:
         "instances": {
             "heavy_grid": "k x k atoms of weight 100 at the integer points, p = 3",
             "uniform_1d": "the large1d benchmark input (seed 0, index 0) with m atoms, p = 2",
+            "uniform_2d": "m atoms uniform on [0, 1]^2, weights 2^U(-2, 2), p = 3 (seed 0)",
         },
         "host": {"machine": platform.machine(), "python": platform.python_version(),
                  "numpy": np.__version__},
