@@ -21,13 +21,12 @@ from .functional import (
     FamilyAssignment,
     FamilyValidationError,
     Variant,
-    admissible_members,
+    admissible_sums,
     build_pipeline,
     build_reference_family,
     default_t_grid,
     eval_family_functional,
     k_curve,
-    members_value,
     validate_family,
 )
 from .lacunae import contact_graph, partition_lacunae, project_lacuna, projection_multiplicity
@@ -181,14 +180,12 @@ def cmd_estimate(args):
     net, cover, pou, lacs = build_pipeline(mu, prm)
     ref = build_reference_family(mu, net, cover, lacs, prm)
     gamma = ref.gamma_needed * (1 + 1e-9)
-    fa = ref.assignment
     values = {}
     admissible = {}
-    for variant in Variant:
-        # members are valued one by one, so disjointness is not asked of them
-        keep = np.nonzero(admissible_members(fa, variant, mu, args.p, gamma))[0]
+    # members are valued one by one, so disjointness is not asked of them
+    for variant, (keep, value) in admissible_sums(ref.assignment, mu, f.values, args.p, gamma).items():
         # with no admissible member the output shows the integer 0
-        values[variant.value] = members_value(fa, variant, mu, f.values, args.p, keep) if keep.size else 0
+        values[variant.value] = value if keep.size else 0
         admissible[variant.value] = len(keep)
     payload = {
         "values": values,

@@ -32,7 +32,7 @@ import numpy as np
 
 from .concentration import ConcentrationNet, Params, build_net
 from .decompose import build_extension, estimate_sobolev_seminorm, mu_norm_f2
-from .geometry import Cube, CubeFamily, greedy_disjoint, near_pairs
+from .geometry import CubeFamily, greedy_disjoint, near_pairs, segment_reduce
 from .lacunae import Lacuna, partition_lacunae, project_lacuna
 from .measure import AtomicMeasure, lp_norm
 from .whitney import PartitionOfUnity, WhitneyCover, assign_anchors, build_whitney
@@ -42,6 +42,7 @@ __all__ = [
     "FamilyAssignment",
     "FamilyValidationError",
     "admissible_members",
+    "admissible_sums",
     "members_value",
     "eval_family_functional",
     "build_reference_family",
@@ -84,58 +85,95 @@ class FamilyAssignment:
         k = len(self.family)
         if len(self.prime) != k or len(self.dprime) != k:
             raise ValueError("prime/dprime must assign one cube per family member")
-        pool_size = len(self.pool) if self.pool is not None else k
+        pool_size = len(self.pool_cubes)
         for name, m in (("prime", self.prime), ("dprime", self.dprime)):
             for j in m:
                 if not 0 <= j < pool_size:
                     raise ValueError(f"{name} index {j} outside the pool")
 
-    def pool_cube(self, j: int) -> Cube:
-        return (self.pool if self.pool is not None else self.family)[j]
+    @property
+    def pool_cubes(self) -> CubeFamily:
+        """The cubes ``prime`` and ``dprime`` index: the pool, or the family without one."""
+        return self.pool if self.pool is not None else self.family
 
     def to_json_dict(self) -> dict:
         d = {
-            "cubes": [
-                {"c": list(map(float, q.center)), "r": float(q.half_side)}
-                for q in self.family
-            ],
+            "cubes": _cubes_to_json(self.family),
             "prime": list(map(int, self.prime)),
             "dprime": list(map(int, self.dprime)),
         }
         if self.pool is not None:
-            d["pool"] = [
-                {"c": list(map(float, q.center)), "r": float(q.half_side)}
-                for q in self.pool
-            ]
+            d["pool"] = _cubes_to_json(self.pool)
         return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FamilyAssignment":
-        fam = CubeFamily([Cube(np.asarray(e["c"], float), float(e["r"])) for e in d["cubes"]])
-        pool = None
-        if "pool" in d:
-            pool = CubeFamily(
-                [Cube(np.asarray(e["c"], float), float(e["r"])) for e in d["pool"]]
-            )
+        fam = _cubes_from_json(d["cubes"])
+        pool = _cubes_from_json(d["pool"]) if "pool" in d else None
         return cls(fam, [int(i) for i in d["prime"]], [int(i) for i in d["dprime"]], pool)
 
 
-def _conditions(fa: FamilyAssignment, variant: Variant, mu: AtomicMeasure, p: float,
-                gamma: float, mass_mode: str) -> list:
+def _cubes_to_json(fam: CubeFamily) -> list:
+    return [{"c": list(map(float, c)), "r": float(r)} for c, r in zip(fam.centers, fam.halves)]
+
+
+def _cubes_from_json(entries: list) -> CubeFamily:
+    """The cubes ``[{"c": [...], "r": ...}, ...]`` of a family file, checked as cubes."""
+    centers = np.array([e["c"] for e in entries], dtype=float)
+    return CubeFamily.from_arrays(
+        centers.reshape(len(entries), -1 if entries else 1), [e["r"] for e in entries]
+    )
+
+
+class _CubeAtoms:
+    """The atoms of a set of cubes, found by one ``cube_atoms`` call, and the sums over them."""
+
+    def __init__(self, mu: AtomicMeasure, fam: CubeFamily):
+        rows, self.atoms = mu.cube_atoms(fam.centers, fam.halves)
+        counts = np.bincount(rows, minlength=len(fam))
+        self.end = np.cumsum(counts)
+        self.start = self.end - counts
+        self.weights = mu.weights
+        # per cube, with the bits of mu.mass
+        self.mass = segment_reduce(counts, lambda w: w.sum(axis=1), mu.weights[self.atoms])
+
+    def _union(self, cubes: np.ndarray) -> np.ndarray:
+        """The atoms inside any of the given cubes, ascending."""
+        parts = [self.atoms[self.start[c] : self.end[c]] for c in cubes.tolist()]
+        return parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
+
+    def oscillations(self, values: np.ndarray, p: float, A, B) -> np.ndarray:
+        """Per pair ``k``, ``w[S] @ |f[S][:, None] - f[T][None, :]|^p @ w[T]``.
+
+        ``S`` holds the atoms of the cubes ``A[k]`` and ``T`` those of
+        ``B[k]`` (index arrays), both ascending; the value is 0 where either
+        is empty.  Each product is taken alone, so it keeps the rounding of
+        one vector-matrix-vector product.
+        """
+        out = np.zeros(len(A))
+        for k, (a, b) in enumerate(zip(A, B)):
+            s, t = self._union(a), self._union(b)
+            if s.size and t.size:
+                diff = np.abs(values[s][:, None] - values[t][None, :]) ** p
+                out[k] = float(self.weights[s] @ diff @ self.weights[t])
+        return out
+
+
+def _conditions(fa: FamilyAssignment, variant: Variant, n: int, p: float,
+                gamma: float, mass_mode: str, atoms: _CubeAtoms) -> list:
     """The per-member admissibility conditions in checking order.
 
-    Each is a pair: the mask of the members that meet it, and the message
-    for a member ``k`` that does not.
+    ``atoms`` holds the atoms of the pool cubes.  Each condition is a pair:
+    the mask of the members that meet it, and the message for a member
+    ``k`` that does not.
     """
     if not gamma > 0:
         raise ValueError("dilation factor must be positive")
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
-    n = mu.n
-    fam = fa.family
-    pool = fa.pool if fa.pool is not None else fam
-    fc, fh = fam.centers(), fam.halves()
-    pc, ph = pool.centers(), pool.halves()
+    fam, pool = fa.family, fa.pool_cubes
+    fc, fh = fam.centers, fam.halves
+    pc, ph = pool.centers, pool.halves
     names = ("Q'", "Q''")
     jp, jd = J = np.array([fa.prime, fa.dprime], dtype=np.intp)
     inside = np.all(np.abs(fc - pc[J]) + ph[J][..., None] <= (gamma * fh)[:, None], axis=2)
@@ -145,9 +183,7 @@ def _conditions(fa: FamilyAssignment, variant: Variant, mu: AtomicMeasure, p: fl
     ]
     if variant not in (Variant.V1, Variant.V4, Variant.VTH3, Variant.N11):
         return out
-    used = np.unique(J)
-    mass = np.zeros(len(pool))
-    mass[used] = mu.mass_many(pc[used], ph[used])
+    mass = atoms.mass
     if variant in (Variant.V1, Variant.V4):
         diam = 2.0 * ph
         if mass_mode == "unit_sum":
@@ -166,6 +202,14 @@ def _conditions(fa: FamilyAssignment, variant: Variant, mu: AtomicMeasure, p: fl
     return out
 
 
+def _admissible(fa: FamilyAssignment, variant: Variant, n: int, p: float, gamma: float,
+                mass_mode: str, atoms: _CubeAtoms) -> np.ndarray:
+    if not len(fa.family):
+        return np.ones(0, dtype=bool)
+    conditions = _conditions(fa, variant, n, p, gamma, mass_mode, atoms)
+    return np.logical_and.reduce([meets for meets, _ in conditions])
+
+
 def admissible_members(
     fa: FamilyAssignment,
     variant: Variant,
@@ -176,11 +220,25 @@ def admissible_members(
 ) -> np.ndarray:
     """Per member, whether its pair is admissible alone: Q' and Q'' lie in ``gamma Q``
     and meet the variant's mass condition (see :func:`validate_family`)."""
-    ok = np.ones(len(fa.family), dtype=bool)
-    if len(fa.family):
-        for meets, _ in _conditions(fa, variant, mu, p, gamma, mass_mode):
-            ok &= meets
-    return ok
+    return _admissible(fa, variant, mu.n, p, gamma, mass_mode, _CubeAtoms(mu, fa.pool_cubes))
+
+
+def _validate(fa: FamilyAssignment, variant: Variant, n: int, p: float, gamma: float,
+              mass_mode: str, atoms: _CubeAtoms) -> None:
+    fam = fa.family
+    if len(fam) == 0:
+        return
+    c, h = fam.centers, fam.halves
+    i, j = near_pairs(c, h)
+    meet = (i != j) & np.all(np.abs(c[i] - c[j]) - (h[i] + h[j])[:, None] <= 0.0, axis=1)
+    if meet.any():
+        raise FamilyValidationError(int(fam.ids[i[meet].min()]), "family cubes are not pairwise disjoint")
+    conditions = _conditions(fa, variant, n, p, gamma, mass_mode, atoms)
+    bad = np.nonzero(~np.logical_and.reduce([meets for meets, _ in conditions]))[0]
+    if bad.size:
+        k = int(bad[0])
+        reason = next(message(k) for meets, message in conditions if not meets[k])
+        raise FamilyValidationError(int(fam.ids[k]), reason)
 
 
 def validate_family(
@@ -202,69 +260,82 @@ def validate_family(
     first member that meets another, or else the first member that fails
     :func:`admissible_members`, with its first failed condition.
     """
-    fam = fa.family
-    if len(fam) == 0:
-        return
-    c, h = fam.centers(), fam.halves()
-    i, j = near_pairs(c, h)
-    meet = (i != j) & np.all(np.abs(c[i] - c[j]) - (h[i] + h[j])[:, None] <= 0.0, axis=1)
-    if meet.any():
-        raise FamilyValidationError(int(fam.ids[i[meet].min()]), "family cubes are not pairwise disjoint")
-    conditions = _conditions(fa, variant, mu, p, gamma, mass_mode)
-    bad = np.nonzero(~np.logical_and.reduce([meets for meets, _ in conditions]))[0]
-    if bad.size:
-        k = int(bad[0])
-        reason = next(message(k) for meets, message in conditions if not meets[k])
-        raise FamilyValidationError(int(fam.ids[k]), reason)
+    _validate(fa, variant, mu.n, p, gamma, mass_mode, _CubeAtoms(mu, fa.pool_cubes))
 
 
-def _pair_oscillation(mu: AtomicMeasure, values: np.ndarray, qp: Cube, qd: Cube, p: float) -> float:
-    ip = mu.atoms_in(qp)
-    id_ = mu.atoms_in(qd)
-    if ip.size == 0 or id_.size == 0:
-        return 0.0
-    wp, wd = mu.weights[ip], mu.weights[id_]
-    fp, fd = values[ip], values[id_]
-    diff = np.abs(fp[:, None] - fd[None, :]) ** p
-    return float(wp @ diff @ wd)
+def _powers(x: np.ndarray, e: float) -> np.ndarray:
+    """``x ** e`` elementwise by Python's float power, the rounding of scalar code."""
+    return np.array([v**e for v in x.tolist()], dtype=float)
 
 
-def _term_weight(
-    variant: Variant, n: int, p: float, dq: float, dp_: float, dd: float, mp: float, md: float
-) -> float:
+def _variant_weights(variant: Variant, n: int, p: float, dq, dp, dd, mp, md) -> np.ndarray:
+    """The weight of each term (see the module docstring) from the diameters of
+    Q, Q', Q'' and the masses of Q', Q''; elementwise, with the rounding of
+    the same formula in scalar Python arithmetic."""
     if variant is Variant.CR:
-        return dq ** (n - p) / ((dp_ ** (n - p) + mp) * (dd ** (n - p) + md))
+        return _powers(dq, n - p) / ((_powers(dp, n - p) + mp) * (_powers(dd, n - p) + md))
     if variant is Variant.V1:
-        return (dp_ * dd / dq) ** (p - n)
+        return _powers(dp * dd / dq, p - n)
     if variant is Variant.V4:
-        denom = dp_ ** (p - n) * mp + dd ** (p - n) * md
-        if denom == 0.0:
-            return 0.0  # oscillation vanishes on null sets anyway
-        return (dp_ * dd / dq) ** (p - n) / denom
+        denom = _powers(dp, p - n) * mp + _powers(dd, p - n) * md
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # oscillation vanishes on null sets anyway
+            return np.where(denom == 0.0, 0.0, _powers(dp * dd / dq, p - n) / denom)
     if variant in (Variant.VTH3, Variant.N11):
-        denom = mp * md * dq ** (p - n) * (1.0 + dp_ ** (n - p) / mp + dd ** (n - p) / md)
+        denom = mp * md * _powers(dq, p - n) * (1.0 + _powers(dp, n - p) / mp + _powers(dd, n - p) / md)
         return 1.0 / denom
     raise ValueError(f"unknown variant {variant}")
+
+
+def _ordered_sum(terms: np.ndarray) -> float:
+    """The terms added one by one in order, from 0."""
+    total = 0.0
+    for t in terms.tolist():
+        total += t
+    return total
+
+
+def _oscillations(fa: FamilyAssignment, atoms: _CubeAtoms, values: np.ndarray, p: float) -> np.ndarray:
+    """Per member, the oscillation between its Q' and Q''."""
+    J = np.array([fa.prime, fa.dprime], dtype=np.intp)
+    return atoms.oscillations(values, p, J[0][:, None], J[1][:, None])
+
+
+def _members_sum(fa: FamilyAssignment, variant: Variant, n: int, p: float, atoms: _CubeAtoms,
+                 osc: np.ndarray, members) -> float:
+    """Weight times oscillation of the given members, added in their order."""
+    k = np.asarray(members, dtype=np.intp)
+    k = k[osc[k] != 0.0]  # a null Q' or Q'' holds no atom, so its oscillation vanishes
+    jp, jd = np.array([fa.prime, fa.dprime], dtype=np.intp)[:, k]
+    ph, mass = fa.pool_cubes.halves, atoms.mass
+    dq = 2.0 * fa.family.halves[k]
+    w = _variant_weights(variant, n, p, dq, 2.0 * ph[jp], 2.0 * ph[jd], mass[jp], mass[jd])
+    return _ordered_sum(w * osc[k])
 
 
 def members_value(
     fa: FamilyAssignment, variant: Variant, mu: AtomicMeasure, values: np.ndarray, p: float, members
 ) -> float:
     """The oscillation sum over the given members, added in their order, without validation."""
-    n = mu.n
-    total = 0.0
-    for k in members:
-        q = fa.family[k]
-        qp = fa.pool_cube(fa.prime[k])
-        qd = fa.pool_cube(fa.dprime[k])
-        mp, md = mu.mass(qp), mu.mass(qd)
-        if variant in (Variant.CR, Variant.V1, Variant.V4) and (mp == 0.0 or md == 0.0):
-            continue  # the double integral over a null set vanishes
-        osc = _pair_oscillation(mu, values, qp, qd, p)
-        if osc == 0.0:
-            continue
-        total += _term_weight(variant, n, p, q.diam, qp.diam, qd.diam, mp, md) * osc
-    return total
+    atoms = _CubeAtoms(mu, fa.pool_cubes)
+    return _members_sum(fa, variant, mu.n, p, atoms, _oscillations(fa, atoms, values, p), members)
+
+
+def admissible_sums(fa: FamilyAssignment, mu: AtomicMeasure, values: np.ndarray, p: float,
+                    gamma: float) -> dict:
+    """Per variant, the members admissible alone (:func:`admissible_members`, unit mass
+    sum) and the oscillation sum over them in member order (:func:`members_value`).
+
+    The pool's atoms and masses and the members' oscillations are found once
+    and shared by the variants.
+    """
+    atoms = _CubeAtoms(mu, fa.pool_cubes)
+    osc = _oscillations(fa, atoms, values, p)
+    out = {}
+    for variant in Variant:
+        keep = np.nonzero(_admissible(fa, variant, mu.n, p, gamma, "unit_sum", atoms))[0]
+        out[variant] = keep, _members_sum(fa, variant, mu.n, p, atoms, osc, keep)
+    return out
 
 
 def eval_family_functional(
@@ -277,15 +348,18 @@ def eval_family_functional(
     mass_mode: str = "unit_sum",
     validate: bool = True,
 ) -> float:
-    """Exact value of the oscillation sum for the given variant."""
+    """Exact value of the oscillation sum for the given variant; one atom query
+    over the pool serves the mass conditions and the oscillations."""
     values = np.asarray(getattr(f, "values", f), dtype=float).ravel()
     if values.shape[0] != mu.m:
         raise ValueError("function values must align with the atoms")
     if gamma is None:
         gamma = Params(p=max(p, 1.0 + 1e-9)).gamma_value
+    atoms = _CubeAtoms(mu, fa.pool_cubes)
     if validate:
-        validate_family(fa, variant, mu, p, gamma, mass_mode)
-    return members_value(fa, variant, mu, values, p, range(len(fa.family)))
+        _validate(fa, variant, mu.n, p, gamma, mass_mode, atoms)
+    osc = _oscillations(fa, atoms, values, p)
+    return _members_sum(fa, variant, mu.n, p, atoms, osc, range(len(fa.family)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,48 +368,41 @@ def eval_family_functional(
 
 @dataclass
 class WeightedPair:
-    """One term ``lam * iint_{G x H} |f(x) - f(y)|^p dmu dmu`` of the linear form."""
+    """One term ``lam * iint_{G x H} |f(x) - f(y)|^p dmu dmu`` of the linear form;
+    ``G`` and ``H`` are unions of the cubes their keys name in ``ReferenceFamily.cubes``."""
 
     lam: float
-    G: list[Cube]
-    H: list[Cube]
+    G: np.ndarray
+    H: np.ndarray
     tag: str
 
 
 @dataclass
 class ReferenceFamily:
+    """The reference family and its weighted set-pair list.
+
+    ``cubes`` holds the cubes the pair keys name: key ``k < net.size`` is
+    net cube ``k`` and ``net.size + i`` is cover cube ``i``.
+    """
+
     assignment: FamilyAssignment
     pairs: list[WeightedPair]
+    cubes: CubeFamily
     gamma_needed: float
     pool_multiplicity: int
     dropped: int
     meta: dict = field(default_factory=dict)
 
 
-def _atoms_in_union(mu: AtomicMeasure, cubes: list[Cube]) -> np.ndarray:
-    seen: set[int] = set()
-    for q in cubes:
-        seen.update(map(int, mu.atoms_in(q)))
-    return np.array(sorted(seen), dtype=int)
-
-
-def eval_weighted_pairs(pairs: list[WeightedPair], mu: AtomicMeasure, f, p: float) -> float:
-    """Value of the weighted linear combination of set-pair oscillations."""
+def eval_weighted_pairs(ref: ReferenceFamily, mu: AtomicMeasure, f, p: float) -> float:
+    """Value of the weighted linear combination of set-pair oscillations, added in pair order."""
     values = np.asarray(getattr(f, "values", f), dtype=float).ravel()
-    total = 0.0
-    for pair in pairs:
-        gi = _atoms_in_union(mu, pair.G)
-        hi = _atoms_in_union(mu, pair.H)
-        if gi.size == 0 or hi.size == 0:
-            continue
-        diff = np.abs(values[gi][:, None] - values[hi][None, :]) ** p
-        total += pair.lam * float(mu.weights[gi] @ diff @ mu.weights[hi])
-    return total
-
-
-def _powers(x: np.ndarray, e: float) -> np.ndarray:
-    """``x ** e`` elementwise by Python's float power, the rounding of scalar code."""
-    return np.array([v**e for v in x.tolist()], dtype=float)
+    keys = np.unique(np.concatenate([k for q in ref.pairs for k in (q.G, q.H)]))
+    atoms = _CubeAtoms(mu, ref.cubes.subset(keys))
+    G = [np.searchsorted(keys, q.G) for q in ref.pairs]
+    H = [np.searchsorted(keys, q.H) for q in ref.pairs]
+    lam = np.array([q.lam for q in ref.pairs], dtype=float)
+    return _ordered_sum(lam * atoms.oscillations(values, p, G, H))
 
 
 def build_reference_family(
@@ -366,7 +433,6 @@ def build_reference_family(
     anchors = cover.anchors
     if anchors is None:
         raise ValueError("cover has no anchors")
-    tilde_cube = [Cube(E[i], float(R[i])) for i in range(net.size)]
     key_c = np.concatenate([E, C])
     key_h = np.concatenate([R, H])
 
@@ -413,6 +479,7 @@ def build_reference_family(
     kept = np.nonzero(greedy_disjoint(q_c, q_h))[0]
     dropped = q_h.shape[0] - kept.shape[0]
     kc, kh, p_key, d_key = q_c[kept], q_h[kept], p_key[kept], d_key[kept]
+    kept_tags = [tags[k] for k in kept.tolist()]
 
     # pool: Q' keys, then Q'' keys, numbered in order of first appearance
     keys = np.concatenate([p_key, d_key])
@@ -422,19 +489,16 @@ def build_reference_family(
     pool_id = np.empty(uniq.shape[0], dtype=np.intp)
     pool_id[order] = np.arange(uniq.shape[0])
     prime, dprime = np.split(pool_id[np.searchsorted(uniq, keys)], 2)
-    away_cube = {i: cover.cube(i) for i in away.tolist()}
-    pool_cubes = [
-        tilde_cube[k] if k < net.size else away_cube[k - net.size] for k in pool_keys.tolist()
-    ]
-    fam = CubeFamily([Cube(c, hh) for c, hh in zip(kc, kh.tolist())])
-    fa = FamilyAssignment(fam, prime.tolist(), dprime.tolist(), CubeFamily(pool_cubes))
+    pc, ph = key_c[pool_keys], key_h[pool_keys]
+    fa = FamilyAssignment(
+        CubeFamily.from_arrays(kc, kh), prime.tolist(), dprime.tolist(), CubeFamily.from_arrays(pc, ph)
+    )
 
     need = [np.max(np.abs(key_c[k] - kc) + key_h[k][:, None], axis=1) / kh for k in (p_key, d_key)]
     gamma_needed = max(1.0, float(np.max(need)))
 
     # covering multiplicity of the pool (sampled at cube corners and centers)
     mult = 1
-    pc, ph = key_c[pool_keys], key_h[pool_keys]
     if pool_keys.shape[0] > 1:
         probes = np.concatenate([pc, pc + ph[:, None], pc - ph[:, None]], axis=0)
         at, cube = near_pairs(probes, np.zeros(probes.shape[0]), pc, ph)
@@ -446,33 +510,33 @@ def build_reference_family(
     mass_keys = np.union1d(net_ids, pool_keys)
     key_mass = np.zeros(key_h.shape[0])
     key_mass[mass_keys] = mu.mass_many(key_c[mass_keys], key_h[mass_keys])
-    mp, md = key_mass[p_key], key_mass[d_key]
-    pool_pow = _powers(2.0 * ph, n - p)
-    lam = _powers(2.0 * kh, n - p) / ((pool_pow[prime] + mp) * (pool_pow[dprime] + md))
+    lam = _variant_weights(
+        Variant.CR, n, p, 2.0 * kh, 2.0 * key_h[p_key], 2.0 * key_h[d_key], key_mass[p_key], key_mass[d_key]
+    )
     pairs = [
-        WeightedPair(w, [pool_cubes[a]], [pool_cubes[b]], tags[k])
-        for w, a, b, k in zip(lam.tolist(), prime.tolist(), dprime.tolist(), kept.tolist())
+        WeightedPair(w, p_key[k : k + 1], d_key[k : k + 1], tag)
+        for k, (w, tag) in enumerate(zip(lam.tolist(), kept_tags))
     ]
     for lac in lacunae:
         if lac.projection is None:
             project_lacuna(lac, net, cover)
         mass = float(key_mass[lac.projection])
-        member_cubes = [away_cube[i] for i in lac.ids if i in away_cube]
-        if not member_cubes or mass <= 0:
+        ids = np.asarray(lac.ids, dtype=np.intp)
+        members = net.size + ids[is_away[ids]]
+        if not members.size or mass <= 0:
             continue
-        k_cube = tilde_cube[lac.projection]
-        pairs.append(WeightedPair(1.0 / mass, member_cubes, [k_cube], "lacuna"))
+        pairs.append(WeightedPair(1.0 / mass, members, np.array([lac.projection], dtype=np.intp), "lacuna"))
 
-    kept_tags = [tags[k] for k in kept.tolist()]
     per_tag = {t: kept_tags.count(t) for t in ("net", "anchored", "residual")}
     log.info(
         "reference family: %d net, %d anchored, %d residual members, %d dropped, "
         "pool %d, multiplicity %d, gamma_needed %g, %d pairs",
-        *per_tag.values(), dropped, len(pool_cubes), mult, gamma_needed, len(pairs),
+        *per_tag.values(), dropped, len(fa.pool), mult, gamma_needed, len(pairs),
     )
     return ReferenceFamily(
         assignment=fa,
         pairs=pairs,
+        cubes=CubeFamily.from_arrays(key_c, key_h),
         gamma_needed=gamma_needed,
         pool_multiplicity=mult,
         dropped=dropped,
@@ -484,16 +548,15 @@ def build_reference_family(
 # lower-bound search
 
 
-def _shrink_to_disjoint(cubes: list[Cube]) -> list[Cube] | None:
-    """Shrink touching cubes by a relative 1e-12 so closed disjointness holds."""
-    out = list(cubes)
+def _shrink_to_disjoint(centers: np.ndarray, halves: np.ndarray) -> CubeFamily | None:
+    """The cubes, shrunk by a relative 1e-12 while they touch, so closed disjointness holds."""
     for _ in range(3):
-        fam = CubeFamily(out)
+        fam = CubeFamily.from_arrays(centers, halves)
         inter = fam.intersection_matrix()
         np.fill_diagonal(inter, False)
         if not inter.any():
-            return out
-        out = [Cube(q.center, q.half_side * (1 - 1e-12)) for q in out]
+            return fam
+        halves = halves * (1 - 1e-12)
     return None
 
 
@@ -513,21 +576,19 @@ def _candidate_stream(mu: AtomicMeasure, p: float, seed: int, net: Concentration
             if sep == 0.0:
                 continue
             for a in pair_alphas:
-                q = Cube(mid, a * sep / 2.0)
-                yield FamilyAssignment(CubeFamily([q]), [0], [0]), None
+                yield FamilyAssignment(CubeFamily.from_arrays(mid[None, :], [a * sep / 2.0]), [0], [0]), None
 
     # the family around all atoms at once
     if m >= 1:
         c = mu.bounding_center()
         h = max(mu.bounding_half_width(), 1e-9)
         for a in (1.05, 1.5, 3.0):
-            yield FamilyAssignment(CubeFamily([Cube(c, a * h)]), [0], [0]), None
+            yield FamilyAssignment(CubeFamily.from_arrays(c[None, :], [a * h]), [0], [0]), None
 
     # net cubes paired with themselves
     if net is not None and net.size:
-        cubes = [Cube(net.points[i], float(net.radii[i])) for i in range(net.size)]
         yield FamilyAssignment(
-            CubeFamily(cubes), list(range(net.size)), list(range(net.size))
+            CubeFamily.from_arrays(net.points, net.radii), list(range(net.size)), list(range(net.size))
         ), None
 
     # the constructed reference family, admissible at its recorded dilation
@@ -537,22 +598,22 @@ def _candidate_stream(mu: AtomicMeasure, p: float, seed: int, net: Concentration
     # random multi-cube families over atom midpoints at dyadic scales
     while True:
         k = int(rng.integers(1, 4))
-        cubes = []
+        centers, halves = [], []
         for _ in range(k):
             i, j = rng.integers(0, m, size=2)
             base = (pos[i] + pos[j]) / 2.0 + rng.normal(scale=0.1, size=mu.n) * (
                 np.max(np.abs(pos[i] - pos[j])) + 1e-3
             )
             sep = float(np.max(np.abs(pos[i] - pos[j]))) + 1e-3
-            r = sep * 2.0 ** int(rng.integers(-2, 3)) * 0.6
-            cubes.append(Cube(base, r))
-        shrunk = _shrink_to_disjoint(cubes)
+            centers.append(base)
+            halves.append(sep * 2.0 ** int(rng.integers(-2, 3)) * 0.6)
+        shrunk = _shrink_to_disjoint(np.array(centers), np.array(halves))
         if shrunk is None:
             continue
         kk = len(shrunk)
         prime = [int(rng.integers(0, kk)) for _ in range(kk)]
         dprime = [int(rng.integers(0, kk)) for _ in range(kk)]
-        yield FamilyAssignment(CubeFamily(shrunk), prime, dprime), None
+        yield FamilyAssignment(shrunk, prime, dprime), None
 
 
 def _local_moves(fa: FamilyAssignment, rng: np.random.Generator):
@@ -561,24 +622,20 @@ def _local_moves(fa: FamilyAssignment, rng: np.random.Generator):
     k = len(fa.family)
     if k == 0 or fa.pool is not None:
         return out
+    c, h = fa.family.centers, fa.family.halves
     for factor in (2.0, 0.5):
-        cubes = [Cube(q.center, q.half_side * factor) for q in fa.family]
-        shrunk = _shrink_to_disjoint(cubes)
+        shrunk = _shrink_to_disjoint(c, h * factor)
         if shrunk is not None:
-            out.append(FamilyAssignment(CubeFamily(shrunk), list(fa.prime), list(fa.dprime)))
+            out.append(FamilyAssignment(shrunk, list(fa.prime), list(fa.dprime)))
     if k > 1:
         prime = [int(rng.integers(0, k)) for _ in range(k)]
         dprime = [int(rng.integers(0, k)) for _ in range(k)]
         out.append(FamilyAssignment(fa.family, prime, dprime))
     i = int(rng.integers(0, k))
     factor = float(rng.choice([2.0, 0.5]))
-    cubes = [
-        Cube(q.center, q.half_side * (factor if j == i else 1.0))
-        for j, q in enumerate(fa.family)
-    ]
-    shrunk = _shrink_to_disjoint(cubes)
+    shrunk = _shrink_to_disjoint(c, h * np.where(np.arange(k) == i, factor, 1.0))
     if shrunk is not None:
-        out.append(FamilyAssignment(CubeFamily(shrunk), list(fa.prime), list(fa.dprime)))
+        out.append(FamilyAssignment(shrunk, list(fa.prime), list(fa.dprime)))
     return out
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "cubes_intersect",
     "cube_contains",
     "dist_cube_point",
-    "dist_cube_cube",
     "dist_cube_set",
     "near_pairs",
     "greedy_disjoint",
@@ -163,14 +162,6 @@ def dist_cube_point(q: Cube, x) -> float:
     return float(np.max(gaps))
 
 
-def dist_cube_cube(q1: Cube, q2: Cube) -> float:
-    _check_same_dim(q1.center, q2.center)
-    gaps = np.maximum(
-        np.abs(q1.center - q2.center) - (q1.half_side + q2.half_side), 0.0
-    )
-    return float(np.max(gaps))
-
-
 def dist_cube_set(q: Cube, pts) -> float:
     """Distance from the cube to the nearest of ``pts``; 0 if one lies inside."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -270,7 +261,7 @@ def near_pairs(ca, ha, cb=None, hb=None) -> tuple[np.ndarray, np.ndarray]:
         cb, hb = np.asarray(cb, dtype=float), np.asarray(hb, dtype=float)
     if ha.size * hb.size <= _MIN_BAND**2:
         # every pair costs less than building the trees
-        return np.repeat(np.arange(ha.size), hb.size), np.tile(np.arange(hb.size), ha.size)
+        return np.divmod(np.arange(ha.size * hb.size), hb.size)
     bands_a = _bands(ca, ha)
     bands_b = bands_a if self_join else _bands(cb, hb)
     for x, band_a in enumerate(bands_a):
@@ -322,7 +313,7 @@ def segment_reduce(counts, fn, *entries) -> np.ndarray:
     counts = np.asarray(counts)
     start = np.cumsum(counts) - counts
     out = np.zeros(counts.shape[0])
-    for c in np.unique(counts[counts > 0]):
+    for c in np.flatnonzero(np.bincount(counts)[1:]) + 1:
         seg = np.nonzero(counts == c)[0]
         at = start[seg, None] + np.arange(c)
         out[seg] = fn(*(e[at] for e in entries))
@@ -330,59 +321,67 @@ def segment_reduce(counts, fn, *entries) -> np.ndarray:
 
 
 class CubeFamily:
-    """Ordered list of cubes with stable integer ids (the list position)."""
+    """Ordered cubes held as arrays: ``centers`` (k, n), ``halves`` (k,) and stable integer ``ids``.
+
+    ``CubeFamily(cubes)`` takes a list of :class:`Cube`; ``from_arrays`` takes
+    the arrays.  Indexing and iteration build a :class:`Cube` on demand.
+    """
 
     def __init__(self, cubes, ids=None):
-        self.cubes: list[Cube] = list(cubes)
+        cubes = list(cubes)
+        centers = np.array([q.center for q in cubes], dtype=float) if cubes else np.zeros((0, 1))
+        self._set(centers, np.array([q.half_side for q in cubes], dtype=float), ids)
+
+    @classmethod
+    def from_arrays(cls, centers, halves, ids=None) -> "CubeFamily":
+        """The cubes ``Q(centers[k], halves[k])``, checked as :class:`Cube` checks one cube."""
+        fam = cls.__new__(cls)
+        fam._set(np.asarray(centers, dtype=float), np.asarray(halves, dtype=float), ids)
+        return fam
+
+    def _set(self, centers: np.ndarray, halves: np.ndarray, ids) -> None:
+        k = halves.shape[0]
+        if centers.ndim != 2 or halves.shape != (k,) or centers.shape[0] != k:
+            raise ValueError(f"expected (k, n) centers and k half sides, got {centers.shape}, {halves.shape}")
+        bad_c = ~np.isfinite(centers).all(axis=1)
+        bad = np.nonzero(bad_c | ~((halves > 0.0) & np.isfinite(halves)))[0]
+        if bad.size:
+            # the first bad cube's first failed check, in the order of Cube
+            if bad_c[bad[0]]:
+                raise ValueError("point coordinates must be finite")
+            raise ValueError(f"half_side must be positive and finite, got {float(halves[bad[0]])}")
         if ids is None:
-            self.ids = np.arange(len(self.cubes), dtype=int)
+            ids = np.arange(k, dtype=int)
         else:
-            self.ids = np.asarray(ids, dtype=int)
-            if len(self.ids) != len(self.cubes):
+            ids = np.asarray(ids, dtype=int)
+            if ids.shape != (k,):
                 raise ValueError("ids must align with cubes")
-            if len(np.unique(self.ids)) != len(self.ids):
+            if len(np.unique(ids)) != k:
                 raise ValueError("cube ids must be unique")
-        self._centers = None
-        self._halves = None
+        self.centers, self.halves, self.ids = centers, halves, ids
 
     def __len__(self) -> int:
-        return len(self.cubes)
+        return self.halves.shape[0]
 
     def __iter__(self):
-        return iter(self.cubes)
+        return (self[i] for i in range(len(self)))
 
     def __getitem__(self, i: int) -> Cube:
-        return self.cubes[i]
+        return Cube(self.centers[i], float(self.halves[i]))
 
     @property
     def dim(self) -> int:
-        if not self.cubes:
+        if not len(self):
             raise ValueError("empty family has no dimension")
-        return self.cubes[0].dim
+        return self.centers.shape[1]
 
-    def centers(self) -> np.ndarray:
-        if self._centers is None:
-            self._centers = (
-                np.array([c.center for c in self.cubes], dtype=float)
-                if self.cubes
-                else np.zeros((0, 1))
-            )
-        return self._centers
-
-    def halves(self) -> np.ndarray:
-        if self._halves is None:
-            self._halves = np.array([c.half_side for c in self.cubes], dtype=float)
-        return self._halves
-
-    def diams(self) -> np.ndarray:
-        return 2.0 * self.halves()
+    def subset(self, rows) -> "CubeFamily":
+        """The cubes at positions ``rows``, in that order, with their ids."""
+        return CubeFamily.from_arrays(self.centers[rows], self.halves[rows], self.ids[rows])
 
     def intersection_matrix(self) -> np.ndarray:
         """Boolean matrix of pairwise closed-cube intersections (diagonal True)."""
-        if not self.cubes:
-            return np.zeros((0, 0), dtype=bool)
-        c = self.centers()
-        h = self.halves()
+        c, h = self.centers, self.halves
         gaps = np.abs(c[:, None, :] - c[None, :, :]) - (h[:, None] + h[None, :])[..., None]
         return np.all(gaps <= 0.0, axis=2)
 
@@ -400,24 +399,15 @@ def select_min_disjoint(fam: CubeFamily) -> CubeFamily:
     closed sets, and every input cube intersects an output cube of no larger
     diameter.
     """
-    k = len(fam)
-    if k == 0:
-        return CubeFamily([], ids=[])
-    c = fam.centers()
-    h = fam.halves()
-    inter = np.all(
-        np.abs(c[:, None, :] - c[None, :, :]) <= (h[:, None] + h[None, :])[..., None],
-        axis=2,
-    )
-    alive = np.ones(k, dtype=bool)
-    order = np.lexsort((fam.ids, h))  # half_side ascending, then id
+    inter = fam.intersection_matrix()
+    alive = np.ones(len(fam), dtype=bool)
     chosen: list[int] = []
-    for i in order:
+    for i in np.lexsort((fam.ids, fam.halves)):  # half_side ascending, then id
         if not alive[i]:
             continue
         chosen.append(i)
         alive &= ~inter[i]
-    return CubeFamily([fam.cubes[i] for i in chosen], ids=[int(fam.ids[i]) for i in chosen])
+    return fam.subset(np.array(chosen, dtype=np.intp))
 
 
 def color_disjoint(fam: CubeFamily, max_degree: int) -> list[CubeFamily]:
@@ -444,11 +434,4 @@ def color_disjoint(fam: CubeFamily, max_degree: int) -> list[CubeFamily]:
         while c in used:
             c += 1
         color[i] = c
-    n_classes = int(color.max()) + 1
-    classes = []
-    for c in range(n_classes):
-        members = np.nonzero(color == c)[0]
-        classes.append(
-            CubeFamily([fam.cubes[i] for i in members], ids=[int(fam.ids[i]) for i in members])
-        )
-    return classes
+    return [fam.subset(np.nonzero(color == c)[0]) for c in range(int(color.max()) + 1)]

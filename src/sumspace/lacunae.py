@@ -74,6 +74,18 @@ def _net_points_in(
     return out
 
 
+def _first_extrema(halves: np.ndarray, groups: list[list[int]]) -> list[list[int]]:
+    """Per group of cube ids, its first smallest and its first largest cube in
+    the group's order, as ``np.argmin`` and ``np.argmax`` take them."""
+    lengths = np.array([len(ids) for ids in groups], dtype=np.intp)
+    flat = np.fromiter((i for ids in groups for i in ids), dtype=np.intp, count=int(lengths.sum()))
+    seg = np.repeat(np.arange(lengths.shape[0]), lengths)
+    firsts = np.cumsum(lengths) - lengths
+    h = halves[flat]
+    # a stable sort by group, then half side: each group's first entry
+    return [flat[np.lexsort((key, seg))[firsts]].tolist() for key in (h, -h)]
+
+
 def partition_lacunae(cover: WhitneyCover, net: ConcentrationNet) -> list[Lacuna]:
     """Assign every cover cube to exactly one lacuna."""
     in10, in90 = _net_points_in(cover, net, INNER_DILATION, OUTER_DILATION)
@@ -89,33 +101,26 @@ def partition_lacunae(cover: WhitneyCover, net: ConcentrationNet) -> list[Lacuna
         else:
             singles.append(i)
 
-    all_ids = frozenset(range(net.size))
-    out: list[Lacuna] = []
-
-    def finish(ids: list[int], kind: str, V: frozenset) -> Lacuna:
-        halves = cover.halves[ids]
-        q_min = ids[int(np.argmin(halves))]
-        outer = kind == "true" and V == all_ids
-        q_max = None if outer else ids[int(np.argmax(halves))]
-        return Lacuna(
-            ids=list(ids),
-            kind=kind,
-            V=tuple(sorted(V)),
-            q_min=int(q_min),
-            q_max=None if q_max is None else int(q_max),
-            outer=outer,
-        )
-
+    # lacunae in output order: the true ones by their sorted slice, then the
+    # elementary singletons
+    parts: list[tuple[list[int], str, frozenset]] = []
     for V in sorted(groups, key=lambda s: tuple(sorted(s))):
         ids = groups[V]
-        lac = finish(ids, "true", V)
         # the shared slice must be literally identical across members
         for i in ids:
             if in90[i] != V:
                 raise LacunaError(f"member {i} disagrees on the lacuna slice")
-        out.append(lac)
-    for i in singles:
-        out.append(finish([i], "elementary", in90[i]))
+        parts.append((ids, "true", V))
+    parts.extend(([i], "elementary", in90[i]) for i in singles)
+
+    q_min, q_max = _first_extrema(cover.halves, [ids for ids, _, _ in parts])
+    all_ids = frozenset(range(net.size))
+    out: list[Lacuna] = []
+    for (ids, kind, V), lo, hi in zip(parts, q_min, q_max):
+        outer = kind == "true" and V == all_ids
+        out.append(Lacuna(
+            ids=list(ids), kind=kind, V=tuple(sorted(V)), q_min=lo, q_max=None if outer else hi, outer=outer
+        ))
 
     covered = sorted(j for lac in out for j in lac.ids)
     if covered != list(range(cover.size)):

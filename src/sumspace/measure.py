@@ -10,7 +10,6 @@ exactly on the boundary belongs to the cube, which makes the mass function
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +63,11 @@ def _merge_duplicates(positions, weights, values, tol):
 class AtomicMeasure:
     """Non-trivial non-negative finite atomic measure with exact cube queries.
 
-    Atoms are indexed for cube-range queries: sorted coordinates in 1d, a
-    uniform bucket grid in 2d, plus a KD-tree in 2d for the nearest atoms of
-    the concentration radius.  The index narrows candidates; membership is
-    always decided by the exact closed-cube test, so masses are exact.
+    Cube queries go through one batched query, :meth:`cube_atoms`: a range
+    join of the cubes with the atoms (``near_pairs``) narrows the candidates
+    and the exact closed-cube test decides membership, so masses are exact.
+    Sorted coordinates in 1d and a KD-tree in 2d serve the nearest atoms of
+    the concentration radius.
     """
 
     def __init__(self, positions, weights):
@@ -113,67 +113,24 @@ class AtomicMeasure:
         return mu, SampledFunction(v)
 
     def _build_index(self):
+        # the concentration radius reads the nearest atoms from these
         if self.n == 1:
             self._order = np.argsort(self.positions[:, 0], kind="stable")
             self._sorted_x = self.positions[self._order, 0]
         else:
-            lo = self.positions.min(axis=0)
-            hi = self.positions.max(axis=0)
-            span = float(np.max(hi - lo))
-            ncell = max(1, int(math.ceil(math.sqrt(self.m))))
-            self._grid_lo = lo
-            self._cell = span / ncell if span > 0 else 1.0
-            buckets: dict[tuple[int, int], list[int]] = {}
-            idx = np.floor((self.positions - lo) / self._cell).astype(int)
-            for i, key in enumerate(map(tuple, idx)):
-                buckets.setdefault(key, []).append(i)
-            self._buckets = {k: np.array(v, dtype=int) for k, v in buckets.items()}
             self._tree = cKDTree(self.positions)
-
-    def _candidates(self, cube: Cube) -> np.ndarray:
-        if self.n == 1:
-            # widen by the worst-case rounding of c +- h (scales with the
-            # inputs, not the result); the exact filter decides membership
-            pad = 4.0 * np.finfo(float).eps * (abs(cube.center[0]) + cube.half_side)
-            lo = cube.center[0] - cube.half_side - pad
-            hi = cube.center[0] + cube.half_side + pad
-            i0 = int(np.searchsorted(self._sorted_x, lo, side="left"))
-            i1 = int(np.searchsorted(self._sorted_x, hi, side="right"))
-            return self._order[i0:i1]
-        lo_idx = np.floor((cube.lo - self._grid_lo) / self._cell).astype(int) - 1
-        hi_idx = np.floor((cube.hi - self._grid_lo) / self._cell).astype(int) + 1
-        out = []
-        for ix in range(lo_idx[0], hi_idx[0] + 1):
-            for iy in range(lo_idx[1], hi_idx[1] + 1):
-                b = self._buckets.get((ix, iy))
-                if b is not None:
-                    out.append(b)
-        if not out:
-            return np.zeros(0, dtype=int)
-        return np.concatenate(out)
-
-    def atoms_in(self, cube: Cube) -> np.ndarray:
-        """Indices of atoms inside the closed cube, in ascending order."""
-        if cube.dim != self.n:
-            raise ValueError(f"dimension mismatch: cube {cube.dim}, measure {self.n}")
-        cand = self._candidates(cube)
-        if cand.size == 0:
-            return cand
-        d = np.max(np.abs(self.positions[cand] - cube.center), axis=1)
-        return np.sort(cand[d <= cube.half_side])
 
     def mass(self, cube: Cube) -> float:
         """Total weight inside the closed cube (exact)."""
-        idx = self.atoms_in(cube)
-        if idx.size == 0:
-            return 0.0
-        return float(self.weights[idx].sum())
+        return float(self.mass_many(cube.center[None, :], [cube.half_side])[0])
 
     def cube_atoms(self, centers, halves) -> tuple[np.ndarray, np.ndarray]:
         """Pairs ``(k, i)`` of every atom ``i`` inside the closed cube ``Q(centers[k], halves[k])``.
 
         The pairs come from one range join (``near_pairs``) and the exact
-        closed-cube test of ``atoms_in``, sorted by cube and then by atom.
+        closed-cube test ``|x - c|_inf <= h``, sorted by cube and then by atom.
+        This is the only atom query: masses, averages and oscillation sums
+        are all read from it.
         """
         C = np.atleast_2d(np.asarray(centers, dtype=float))
         H = np.asarray(halves, dtype=float).ravel()
@@ -184,12 +141,12 @@ class AtomicMeasure:
         return rows[inside], atoms[inside]
 
     def mass_many(self, centers, halves) -> np.ndarray:
-        """Masses of the closed cubes ``Q(centers[k], halves[k])``, each bit-equal to ``mass``.
+        """Masses of the closed cubes ``Q(centers[k], halves[k])``.
 
         The atoms of every cube come from ``cube_atoms``.  Each cube's
         weights are then summed in ascending atom order by numpy's own
-        summation, one call per atom count, so the rounding is that of
-        ``mass``.
+        summation, one call per atom count, so every mass has the bits of
+        ``weights[inside].sum()`` for that cube alone.
         """
         H = np.asarray(halves, dtype=float).ravel()
         rows, atoms = self.cube_atoms(centers, H)
@@ -247,7 +204,7 @@ def average(mu: AtomicMeasure, f, cube: Cube) -> float:
     """Weighted mean of ``f`` over the atoms inside the cube."""
     v = _values_of(f)
     _check_bound(mu, v)
-    idx = mu.atoms_in(cube)
+    _, idx = mu.cube_atoms(cube.center[None, :], [cube.half_side])
     if idx.size == 0:
         raise ValueError("average over mu-null set")
     w = mu.weights[idx]

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .concentration import ConcentrationNet, Params
-from .geometry import Cube, CubeFamily, near_pairs, segment_reduce
+from .geometry import Cube, near_pairs, segment_reduce
 
 __all__ = [
     "WhitneyCover",
@@ -80,9 +80,6 @@ class WhitneyCover:
 
     def cube(self, i: int) -> Cube:
         return Cube(self.centers[i], float(self.halves[i]))
-
-    def cubes(self) -> CubeFamily:
-        return CubeFamily([self.cube(i) for i in range(self.size)])
 
     @property
     def max_degree(self) -> int:

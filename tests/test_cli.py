@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from sumspace.cli import main
+from sumspace.geometry import Cube, CubeFamily
 
 TWO_ATOM = {"n": 1, "atoms": [{"x": [0.0], "w": 1.0}, {"x": [1.0], "w": 1.0}]}
 STEP = {"values": [0.0, 1.0]}
@@ -156,6 +157,24 @@ def test_validate_family_rejects(files, capsys, tmp_path):
     )
     assert code == 2
     assert json.loads(out)["admissible"] is False
+
+
+@pytest.mark.parametrize(
+    "bad", [{"c": [1.0], "r": 0}, {"c": [1.0], "r": -1}, {"c": [float("nan")], "r": 0.5}]
+)
+def test_family_with_a_bad_cube_is_an_input_error(files, capsys, tmp_path, bad):
+    m, f, _ = files
+    with pytest.raises(ValueError) as want:
+        Cube(bad["c"], bad["r"])
+    with pytest.raises(ValueError) as got:
+        CubeFamily.from_arrays([[-3.0], bad["c"]], [0.5, bad["r"]])
+    assert str(got.value) == str(want.value)
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"cubes": [{"c": [-3.0], "r": 0.5}, bad], "prime": [0, 1], "dprime": [0, 1]}))
+    code, out, err = run_cli(
+        ["validate-family", "--measure", m, "--function", f, "--p", "2", "--family", str(fam)], capsys
+    )
+    assert (code, out, err) == (1, "", f"error: {want.value}\n")
 
 
 def test_input_errors(files, capsys, tmp_path):

@@ -14,6 +14,7 @@ from sumspace.functional import (
     Variant,
     WeightedPair,
     admissible_members,
+    admissible_sums,
     build_pipeline,
     build_reference_family,
     default_t_grid,
@@ -142,7 +143,7 @@ def test_variant_term_comparisons():
         mu = AtomicMeasure(pos, rng.uniform(0.05, 0.45, size=m) / m)
         f = rng.normal(size=m)
         fa = single_cube_family([0.5], float(rng.uniform(0.55, 0.9)))
-        qp = fa.pool_cube(0)
+        qp = fa.pool_cubes[0]
         s = qp.diam ** (p - 1) * mu.mass(qp) * 2.0
         if s > 1.0:
             continue
@@ -203,9 +204,9 @@ def test_reference_family_two_atoms():
     assert eval_family_functional(
         fa, Variant.CR, mu, [2.0, 2.0], p, gamma=ref.gamma_needed * (1 + 1e-9)
     ) == 0.0
-    ref2_val = eval_weighted_pairs(ref.pairs, mu, f, p)
+    ref2_val = eval_weighted_pairs(ref, mu, f, p)
     assert ref2_val >= 0.0
-    assert eval_weighted_pairs(ref.pairs, mu, [5.0, 5.0], p) == 0.0
+    assert eval_weighted_pairs(ref, mu, [5.0, 5.0], p) == 0.0
 
 
 def test_reference_family_random_instances():
@@ -273,7 +274,7 @@ def test_weighted_pairs_track_oracle_two_sided():
         oracle, _ = sigma_norm_exact(OracleProblem.from_measure(mu, f, p))
         if oracle <= 1e-9:
             continue
-        val = eval_weighted_pairs(ref.pairs, mu, f, p) ** (1.0 / p)
+        val = eval_weighted_pairs(ref, mu, f, p) ** (1.0 / p)
         assert lo_band * oracle <= val <= hi_band * oracle
         checked += 1
     assert checked >= 10
@@ -442,7 +443,7 @@ def _dense_reference_family(mu, net, cover, lacunae, params):
     # plus the lacuna terms (member union vs projected net cube, 1/mass)
     pairs: list[WeightedPair] = []
     for q, qp, qd, tag in kept:
-        mp, md = mu.mass(qp), mu.mass(qd)
+        mp, md = _loop_mass(mu, qp), _loop_mass(mu, qd)
         lam = _cr_weight(n, p, q.diam, qp, qd, mp, md)
         pairs.append(WeightedPair(lam, [qp], [qd], tag))
     away_set = set(away)
@@ -450,7 +451,7 @@ def _dense_reference_family(mu, net, cover, lacunae, params):
         if lac.projection is None:
             project_lacuna(lac, net, cover)
         k_cube = tilde_cube[int(lac.projection)]
-        mass = mu.mass(k_cube)
+        mass = _loop_mass(mu, k_cube)
         member_cubes = [cover.cube(i) for i in lac.ids if i in away_set]
         if not member_cubes or mass <= 0:
             continue
@@ -459,6 +460,7 @@ def _dense_reference_family(mu, net, cover, lacunae, params):
     return ReferenceFamily(
         assignment=fa,
         pairs=pairs,
+        cubes=None,  # G and H hold the cubes themselves
         gamma_needed=gamma_needed,
         pool_multiplicity=mult,
         dropped=dropped,
@@ -481,7 +483,9 @@ def _assert_same_family(got, want):
     for x, y in zip(got.pairs, want.pairs):
         assert x.tag == y.tag and type(x.lam) is type(y.lam)
         assert np.float64(x.lam).tobytes() == np.float64(y.lam).tobytes()
-        assert _cube_bytes(x.G) == _cube_bytes(y.G) and _cube_bytes(x.H) == _cube_bytes(y.H)
+        # the got side names its cubes by key
+        for keys, cubes in ((x.G, y.G), (x.H, y.H)):
+            assert _cube_bytes(got.cubes[k] for k in keys.tolist()) == _cube_bytes(cubes)
     assert np.float64(got.gamma_needed).tobytes() == np.float64(want.gamma_needed).tobytes()
     assert got.pool_multiplicity == want.pool_multiplicity
     assert got.dropped == want.dropped
@@ -559,25 +563,25 @@ def _dense_validate_family(fa, variant, mu, p, gamma, mass_mode="unit_sum"):
     for k, q in enumerate(fam):
         big = q.scaled(gamma)
         for name, j in (("Q'", fa.prime[k]), ("Q''", fa.dprime[k])):
-            if not cube_contains(big, fa.pool_cube(j)):
+            if not cube_contains(big, fa.pool_cubes[j]):
                 raise FamilyValidationError(
                     int(fam.ids[k]), f"{name} escapes gamma*Q with gamma={gamma:g}"
                 )
-        qp, qd = fa.pool_cube(fa.prime[k]), fa.pool_cube(fa.dprime[k])
+        qp, qd = fa.pool_cubes[fa.prime[k]], fa.pool_cubes[fa.dprime[k]]
         if variant in (Variant.V1, Variant.V4):
             if mass_mode == "unit_sum":
-                s = qp.diam ** (p - n) * mu.mass(qp) + qd.diam ** (p - n) * mu.mass(qd)
+                s = qp.diam ** (p - n) * _loop_mass(mu, qp) + qd.diam ** (p - n) * _loop_mass(mu, qd)
                 if s > 1.0 + 1e-12:
                     raise FamilyValidationError(
                         int(fam.ids[k]), f"unit mass-sum condition violated ({s:g} > 1)"
                     )
             else:
                 for name, qq in (("Q'", qp), ("Q''", qd)):
-                    if mu.mass(qq) > 2.0 ** (32.0 * p) * qq.diam ** (n - p) * (1 + 1e-12):
+                    if _loop_mass(mu, qq) > 2.0 ** (32.0 * p) * qq.diam ** (n - p) * (1 + 1e-12):
                         raise FamilyValidationError(int(fam.ids[k]), f"{name} mass bound violated")
         if variant in (Variant.VTH3, Variant.N11):
             for name, qq in (("Q'", qp), ("Q''", qd)):
-                if mu.mass(qq) <= 0.0:
+                if _loop_mass(mu, qq) <= 0.0:
                     raise FamilyValidationError(
                         int(fam.ids[k]), f"{name} has zero mass, not admissible here"
                     )
@@ -660,3 +664,117 @@ def test_validate_family_memory_scales_with_members():
         tracemalloc.stop()
     assert len(ref.assignment.family) == 3250
     assert peak < 64 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# reference implementation: the scalar valuation, cube by cube, with the
+# atoms of every cube found by a mask over all atoms
+
+
+def _mask_atoms(mu, q):
+    """Ascending indices of the atoms inside the closed cube."""
+    return np.nonzero(np.max(np.abs(mu.positions - q.center), axis=1) <= q.half_side)[0]
+
+
+def _loop_mass(mu, q):
+    idx = _mask_atoms(mu, q)
+    return float(mu.weights[idx].sum()) if idx.size else 0.0
+
+
+def _loop_oscillation(mu, values, gi, hi, p):
+    if gi.size == 0 or hi.size == 0:
+        return 0.0
+    diff = np.abs(values[gi][:, None] - values[hi][None, :]) ** p
+    return float(mu.weights[gi] @ diff @ mu.weights[hi])
+
+
+def _loop_term_weight(variant, n, p, dq, dp_, dd, mp, md):
+    if variant is Variant.CR:
+        return dq ** (n - p) / ((dp_ ** (n - p) + mp) * (dd ** (n - p) + md))
+    if variant is Variant.V1:
+        return (dp_ * dd / dq) ** (p - n)
+    if variant is Variant.V4:
+        denom = dp_ ** (p - n) * mp + dd ** (p - n) * md
+        if denom == 0.0:
+            return 0.0
+        return (dp_ * dd / dq) ** (p - n) / denom
+    denom = mp * md * dq ** (p - n) * (1.0 + dp_ ** (n - p) / mp + dd ** (n - p) / md)
+    return 1.0 / denom
+
+
+def _loop_members_value(fa, variant, mu, values, p, members):
+    n = mu.n
+    total = 0.0
+    for k in members:
+        q = fa.family[k]
+        qp = fa.pool_cubes[fa.prime[k]]
+        qd = fa.pool_cubes[fa.dprime[k]]
+        mp, md = _loop_mass(mu, qp), _loop_mass(mu, qd)
+        if variant in (Variant.CR, Variant.V1, Variant.V4) and (mp == 0.0 or md == 0.0):
+            continue
+        osc = _loop_oscillation(mu, values, _mask_atoms(mu, qp), _mask_atoms(mu, qd), p)
+        if osc == 0.0:
+            continue
+        total += _loop_term_weight(variant, n, p, q.diam, qp.diam, qd.diam, mp, md) * osc
+    return total
+
+
+def _loop_weighted_pairs(ref, mu, values, p):
+    def union(keys):
+        return np.array(sorted({int(i) for k in keys for i in _mask_atoms(mu, ref.cubes[k])}), dtype=int)
+
+    total = 0.0
+    for pair in ref.pairs:
+        gi, hi = union(pair.G.tolist()), union(pair.H.tolist())
+        if gi.size == 0 or hi.size == 0:
+            continue
+        total += pair.lam * _loop_oscillation(mu, values, gi, hi, p)
+    return total
+
+
+def _bits(x):
+    return np.float64(x).tobytes(), type(x)
+
+
+def _valuation_cases():
+    for inst in suite_1d() + suite_2d():
+        yield inst.mu, inst.f, inst.p
+    for n, p in ((1, 1.5), (1, 3.0), (2, 3.0)):
+        for k in (2, 3, 4):
+            mu = heavy_grid(k, n)
+            yield mu, np.random.default_rng(k).normal(size=mu.m), p
+
+
+def test_valuations_bit_equal_to_scalar_loops():
+    """Every variant's member sum, the estimate's per-variant sums and the weighted
+    pairs keep the bits of the cube-by-cube scalar valuation."""
+    for mu, values, p in _valuation_cases():
+        prm = Params(p=p)
+        net, cover, _, lacs = build_pipeline(mu, prm)
+        ref = build_reference_family(mu, net, cover, lacs, prm)
+        fa, gamma = ref.assignment, ref.gamma_needed * (1 + 1e-9)
+        everyone = range(len(fa.family))
+        sums = admissible_sums(fa, mu, values, p, gamma)
+        for variant in Variant:
+            want = _bits(_loop_members_value(fa, variant, mu, values, p, everyone))
+            assert _bits(members_value(fa, variant, mu, values, p, everyone)) == want
+            assert _bits(eval_family_functional(fa, variant, mu, values, p, gamma, validate=False)) == want
+            keep = np.nonzero(admissible_members(fa, variant, mu, p, gamma))[0]
+            assert sums[variant][0].tolist() == keep.tolist()
+            assert _bits(sums[variant][1]) == _bits(_loop_members_value(fa, variant, mu, values, p, keep))
+        assert _bits(eval_family_functional(fa, Variant.CR, mu, values, p, gamma)) == _bits(
+            _loop_members_value(fa, Variant.CR, mu, values, p, everyone)
+        )
+        assert _bits(eval_weighted_pairs(ref, mu, values, p)) == _bits(_loop_weighted_pairs(ref, mu, values, p))
+
+
+def test_search_values_bit_equal_to_scalar_loop():
+    """Every admissible candidate of the search, including its local moves, is valued
+    as the scalar loop values it."""
+    for inst in suite_1d(30) + suite_2d(5):
+        collect = []
+        search_lower_bound(inst.mu, inst.f, inst.p, budget=60, seed=inst.seed, collect=collect)
+        assert collect
+        for fa, val in collect:
+            want = _loop_members_value(fa, Variant.CR, inst.mu, inst.f, inst.p, range(len(fa.family)))
+            assert _bits(val) == _bits(want)

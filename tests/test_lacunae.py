@@ -9,6 +9,8 @@ from sumspace.instances import heavy_grid, suite_1d, suite_2d
 from sumspace.lacunae import (
     INNER_DILATION,
     OUTER_DILATION,
+    Lacuna,
+    LacunaError,
     _net_points_in,
     contact_graph,
     partition_lacunae,
@@ -209,6 +211,43 @@ def test_anchors_and_slices_match_dense_reference():
                 else:
                     assert np.array_equal(got, want)
     assert errors > 0 and boundary_hits > 0
+
+
+def _loop_partition_lacunae(cover, net):
+    """Reference: every lacuna built alone, its extremal cubes by ``np.argmin``/``np.argmax``."""
+    in10, in90 = _net_points_in(cover, net, INNER_DILATION, OUTER_DILATION)
+    for i in range(cover.size):
+        if not in90[i]:
+            raise LacunaError(f"cube {i} sees no net point inside 90Q")
+    groups, singles = {}, []
+    for i in range(cover.size):
+        if in10[i] == in90[i]:
+            groups.setdefault(in10[i], []).append(i)
+        else:
+            singles.append(i)
+    all_ids = frozenset(range(net.size))
+
+    def finish(ids, kind, V):
+        halves = cover.halves[ids]
+        q_min = ids[int(np.argmin(halves))]
+        outer = kind == "true" and V == all_ids
+        q_max = None if outer else ids[int(np.argmax(halves))]
+        return Lacuna(ids=list(ids), kind=kind, V=tuple(sorted(V)), q_min=int(q_min),
+                      q_max=None if q_max is None else int(q_max), outer=outer)
+
+    out = [finish(groups[V], "true", V) for V in sorted(groups, key=lambda s: tuple(sorted(s)))]
+    return out + [finish([i], "elementary", in90[i]) for i in singles]
+
+
+def test_partition_matches_loop_reference():
+    cases = [(i.mu, i.p) for i in suite_1d() + suite_2d()]
+    cases += [(heavy_grid(k), 3.0) for k in (2, 3, 4)]
+    for mu, p in cases:
+        _, net, cover = pipeline(mu, p)
+        got = partition_lacunae(cover, net)
+        want = _loop_partition_lacunae(cover, net)
+        assert got == want
+        assert [(type(l.q_min), type(l.q_max)) for l in got] == [(type(l.q_min), type(l.q_max)) for l in want]
 
 
 def test_anchor_and_slice_memory_scales_with_cubes():
