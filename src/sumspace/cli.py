@@ -29,7 +29,7 @@ from .functional import (
     k_curve,
     validate_family,
 )
-from .lacunae import contact_graph, partition_lacunae, project_lacuna, projection_multiplicity
+from .lacunae import contact_graph, projection_multiplicity
 from .measure import MeasureFormatError, load_function, load_measure
 from .oracle1d import OracleProblem, sigma_norm_exact
 from .selftest import run_selftest
@@ -133,28 +133,24 @@ def cmd_net(args):
 def cmd_whitney(args):
     mu, _, prm = _load(args, need_function=False)
     net, cover, pou, lacs = build_pipeline(mu, prm)
-    for lac in lacs:
-        project_lacuna(lac, net, cover)
     edges, contact_report = contact_graph(lacs, cover)
     payload = cover.to_json_dict()
     payload["lacunae"] = [
         {
-            "cubes": list(map(int, lac.ids)),
+            "cubes": lac.ids,
             "kind": lac.kind,
-            "net_points": list(map(int, lac.V)),
-            "min_cube": int(lac.q_min),
-            "max_cube": None if lac.q_max is None else int(lac.q_max),
+            "net_points": lac.V,
+            "min_cube": lac.q_min,
+            "max_cube": lac.q_max,
             "outer": lac.outer,
-            "projection": int(lac.projection),
+            "projection": lac.projection,
         }
         for lac in lacs
     ]
     payload["lacuna_contacts"] = {
-        "edges": [[int(a), int(b)] for a, b in sorted(edges)],
+        "edges": edges.tolist(),
         "max_contacts": contact_report["max_contacts"],
-        "true_true_contacts": [
-            [int(a), int(b)] for a, b in contact_report["true_true_contacts"]
-        ],
+        "true_true_contacts": contact_report["true_true_contacts"].tolist(),
     }
     payload["projection_multiplicity"] = projection_multiplicity(lacs)
     _emit(args, payload)

@@ -98,6 +98,17 @@ class Params:
 # with twice as many
 _WINDOW = 32
 
+# build_net's working box (the atoms' bounding cube scaled by BOX_SCALE),
+# first lattice spacing and refinements
+BOX_SCALE = 4.0
+LATTICE_THETA = 0.125
+REFINEMENTS = 2
+# verify_concentration's sampled point pairs, far cubes per size ratio and
+# relative slack on every inequality
+CHECK_PAIRS = 200
+FAR_CUBE_SAMPLES = 60
+CHECK_SLACK = 1e-9
+
 
 def _radius_rows(mu: AtomicMeasure, kappa: float, X: np.ndarray, width: int):
     """Radii of the rows of ``X`` from windows of ``width`` atoms.
@@ -422,29 +433,22 @@ def covering_violations(net: ConcentrationNet, mu: AtomicMeasure, X) -> list[tup
     return [(X[i], lhs[i] / RX[i], bound) for i in bad]
 
 
-def build_net(
-    mu: AtomicMeasure,
-    params: Params,
-    box_inflation: float = 4.0,
-    theta: float = 0.125,
-    max_refine: int = 2,
-) -> ConcentrationNet:
+def build_net(mu: AtomicMeasure, params: Params) -> ConcentrationNet:
     """Construct the separated net by layered greedy selection with pruning.
 
     Candidates per dyadic layer come from a lattice of spacing
     ``theta * 2^-j`` over the layer's reachable region plus the atom
-    positions and box corners.  The built net is verified against the
-    covering bound on a deterministic sample; on failure the lattice is
-    refined (``theta`` halved) up to ``max_refine`` times.
+    positions and box corners, starting at ``theta = LATTICE_THETA``.  The
+    built net is verified against the covering bound on a deterministic
+    sample; on failure the lattice is refined (``theta`` halved) up to
+    ``REFINEMENTS`` times.
     """
     params.check_dimension(mu.n)
-    if not box_inflation >= 1.0:
-        raise ValueError("box_inflation must be >= 1")
-    box = _default_box(mu, params.p, box_inflation)
-    th = theta
+    box = _default_box(mu, params.p, BOX_SCALE)
+    th = LATTICE_THETA
     last_violation = None
     candidates = widened = 0
-    for rounds in range(1, max_refine + 2):
+    for rounds in range(1, REFINEMENTS + 2):
         net, stats = _build_once(mu, params, box, th)
         candidates += stats.candidates
         widened += stats.widened
@@ -497,9 +501,6 @@ def verify_concentration(
     mu: AtomicMeasure,
     params: Params,
     rng: np.random.Generator | None = None,
-    pairs: int = 200,
-    qne_samples: int = 60,
-    rel_slack: float = 1e-9,
 ) -> ConcentrationReport:
     """Report the mass-concentration inequalities for the built net.
 
@@ -521,8 +522,8 @@ def verify_concentration(
     lower = 2.0 ** (p - n) * d ** (n - p)
     upper = 2.0 ** (15.0 * p) * d ** (n - p)
     masses = mu.mass_many(net.points, net.radii)
-    ok_lo = np.all(masses >= lower * (1 - rel_slack))
-    ok_hi = np.all(masses <= upper * (1 + rel_slack))
+    ok_lo = np.all(masses >= lower * (1 - CHECK_SLACK))
+    ok_hi = np.all(masses <= upper * (1 + CHECK_SLACK))
     worst_lo = float(np.min(masses / lower)) if net.size else 1.0
     worst_hi = float(np.max(masses / upper)) if net.size else 0.0
     rep.add("mass_lower_bound", ok_lo, net.size, worst_lo, "min mass/bound")
@@ -532,7 +533,7 @@ def verify_concentration(
     cap = 2.0 ** (14.0 * p) * masses
     rep.add(
         "five_cube_mass",
-        np.all(m5 <= cap * (1 + rel_slack)),
+        np.all(m5 <= cap * (1 + CHECK_SLACK)),
         net.size,
         float(np.max(m5 / cap)) if net.size else 0.0,
         "max mu(5K)/bound",
@@ -566,7 +567,7 @@ def verify_concentration(
     # the sampled cubes and their bounds first, then their masses in one batch
     far_c, far_r, far_bound = [], [], []
     for theta in (0.5, 1.0, 2.0):
-        for _ in range(qne_samples):
+        for _ in range(FAR_CUBE_SAMPLES):
             x = box.lo + rng.random(n) * (box.hi - box.lo)
             dist0 = float(np.min(np.max(np.abs(net.points - x), axis=1)))
             if dist0 <= 0:
@@ -582,24 +583,24 @@ def verify_concentration(
             far_bound.append(42.0**p * (1 + theta) ** p * r ** (n - p))
     far_mass = mu.mass_many(np.reshape(far_c, (len(far_r), n)), far_r).tolist()
     ratios = [m / bound for m, bound in zip(far_mass, far_bound)]
-    ok_qne = not any(ratio > 1 + rel_slack for ratio in ratios)
+    ok_qne = not any(ratio > 1 + CHECK_SLACK for ratio in ratios)
     rep.add("far_cube_mass", ok_qne, len(ratios), max([0.0] + ratios), "max mu(Q)/bound")
 
-    X = box.lo + rng.random((pairs, n)) * (box.hi - box.lo)
-    Y = box.lo + rng.random((pairs, n)) * (box.hi - box.lo)
+    X = box.lo + rng.random((CHECK_PAIRS, n)) * (box.hi - box.lo)
+    Y = box.lo + rng.random((CHECK_PAIRS, n)) * (box.hi - box.lo)
     RX = concentration_radius_batch(mu, p, X)
     RY = concentration_radius_batch(mu, p, Y)
     gaps = np.max(np.abs(X - Y), axis=1)
     diff = np.abs(RX - RY)
-    ok_lip = np.all(diff <= gaps * (1 + rel_slack) + 1e-15)
+    ok_lip = np.all(diff <= gaps * (1 + CHECK_SLACK) + 1e-15)
     worst_lip = float(np.max(diff - gaps))
-    rep.add("radius_lipschitz", ok_lip, pairs, worst_lip, "max |dR| - |dx|")
+    rep.add("radius_lipschitz", ok_lip, CHECK_PAIRS, worst_lip, "max |dR| - |dx|")
 
     bad = covering_violations(net, mu, X)
     rep.add(
         "covering",
         not bad,
-        pairs,
+        CHECK_PAIRS,
         max((b[1] / b[2] for b in bad), default=0.0),
         "max lhs/bound over violations",
     )

@@ -40,6 +40,10 @@ __all__ = [
 
 log = logging.getLogger("sumspace.decompose")
 
+QUAD_ORDER = 4
+QUAD_DOUBLINGS = 3
+QUAD_REL_TOL = 1e-3
+
 
 class WorkingBoxError(RuntimeError):
     """Boundary values of the extension disagree with the far-field constant."""
@@ -336,18 +340,13 @@ def _active_cubes(dec: Decomposition) -> np.ndarray:
     return np.nonzero(vmax - vmin > tol_active)[0]
 
 
-def estimate_sobolev_seminorm(
-    dec: Decomposition,
-    method: str = "quadrature",
-    rel_tol: float = 1e-3,
-    max_rounds: int = 3,
-    base_order: int = 4,
-) -> float:
+def estimate_sobolev_seminorm(dec: Decomposition, method: str = "quadrature") -> float:
     """Estimate ``(integral of max_i |d_i f1|^p)^(1/p)``.
 
     ``quadrature`` integrates over every cover cube with tensor
-    Gauss-Legendre nodes, doubling the order globally until the total moves
-    by less than ``rel_tol`` relatively; holes and the box exterior
+    Gauss-Legendre nodes, from ``QUAD_ORDER`` on, doubling the order
+    globally up to ``QUAD_DOUBLINGS`` times until the total moves by less
+    than ``QUAD_REL_TOL`` relatively; holes and the box exterior
     contribute nothing because the extension is constant there.
     ``discrete`` returns the anchored-difference surrogate
     ``(sum_K sum_{Q~K} |t(a_Q) - t(a_K)|^p / diam(K)^(p-n))^(1/p)``, an
@@ -374,9 +373,9 @@ def estimate_sobolev_seminorm(
         return 0.0
 
     cells = [_cube_cells(dec, i) for i in active]
-    order = base_order
+    order = QUAD_ORDER
     rounds: list[tuple[np.ndarray, float]] = []
-    for _ in range(max_rounds + 1):
+    for _ in range(QUAD_DOUBLINGS + 1):
         nodes, wts = leggauss(order)
         parts = np.array(
             [_gradient_power(dec.pou, *cell, nodes, wts, p) for cell in cells]
@@ -385,7 +384,7 @@ def estimate_sobolev_seminorm(
         if rounds:
             prev_total = rounds[-1][1]
             denom = max(total, prev_total, 1e-300)
-            if abs(total - prev_total) <= rel_tol * denom:
+            if abs(total - prev_total) <= QUAD_REL_TOL * denom:
                 log.info(
                     "seminorm: %d/%d active cubes, %d rounds, order %d, value %.6g",
                     active.size, cover.size, len(rounds) + 1, order, total,

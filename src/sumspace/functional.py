@@ -33,7 +33,7 @@ import numpy as np
 from .concentration import ConcentrationNet, Params, build_net
 from .decompose import build_extension, estimate_sobolev_seminorm, mu_norm_f2
 from .geometry import CubeFamily, greedy_disjoint, near_pairs, segment_reduce
-from .lacunae import Lacuna, partition_lacunae, project_lacuna
+from .lacunae import Lacuna, partition_lacunae
 from .measure import AtomicMeasure, lp_norm
 from .whitney import PartitionOfUnity, WhitneyCover, assign_anchors, build_whitney
 
@@ -518,8 +518,6 @@ def build_reference_family(
         for k, (w, tag) in enumerate(zip(lam.tolist(), kept_tags))
     ]
     for lac in lacunae:
-        if lac.projection is None:
-            project_lacuna(lac, net, cover)
         mass = float(key_mass[lac.projection])
         ids = np.asarray(lac.ids, dtype=np.intp)
         members = net.size + ids[is_away[ids]]
@@ -719,9 +717,9 @@ def k_curve_slack(points: list["KCurvePoint"]) -> float:
     return max((pt.lower / pt.upper for pt in points if pt.upper > 0), default=0.0)
 
 
-def build_pipeline(mu: AtomicMeasure, params: Params, box_inflation: float = 4.0):
+def build_pipeline(mu: AtomicMeasure, params: Params):
     """Net, anchored cover, partition and lacunae for a measure."""
-    net = build_net(mu, params, box_inflation=box_inflation)
+    net = build_net(mu, params)
     cover = assign_anchors(build_whitney(net), net, params)
     pou = PartitionOfUnity(cover)
     lacs = partition_lacunae(cover, net)

@@ -4,29 +4,33 @@ A cover cube sees two slices of the net: the points inside ``10 Q`` and the
 points inside ``90 Q``.  Cubes for which the two slices agree are grouped by
 that slice into *true* lacunae; a cube whose slices differ forms a singleton
 *elementary* lacuna.  Each lacuna carries the shared slice ``V_L``, its
-extremal member cubes, and a projection to a nearby net point.
+extremal member cubes, and its projection: the point of ``V_L`` nearest to
+the centre of its smallest member cube.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass
 
 import numpy as np
 
 from .concentration import ConcentrationNet
-from .geometry import Cube, near_pairs
+from .geometry import near_pairs
 from .whitney import WhitneyCover
 
 __all__ = [
     "Lacuna",
+    "Lacunae",
     "partition_lacunae",
-    "project_lacuna",
     "contact_graph",
     "LacunaError",
 ]
 
 INNER_DILATION = 10.0
 OUTER_DILATION = 90.0
+
+log = logging.getLogger("sumspace.lacunae")
 
 
 class LacunaError(RuntimeError):
@@ -41,156 +45,156 @@ class Lacuna:
     q_min: int
     q_max: int | None
     outer: bool
-    projection: int | None = None
-    projection_gamma: float | None = None
+    projection: int
+    projection_gamma: float
 
 
-def _net_points_in(
-    cover: WhitneyCover, net: ConcentrationNet, *factors: float
-) -> list[list[frozenset]]:
-    """Per factor, the ids of the net points inside ``factor * Q`` of every cover cube.
+class Lacunae(list):
+    """The lacunae of a cover, in order, with the arrays they were built from:
+    ``labels[i]`` is the lacuna of cover cube ``i``, ``true[l]`` says whether
+    lacuna ``l`` is true and ``projections[l]`` is its projected net point."""
 
-    One ``near_pairs`` join at the largest factor serves every factor.  Cubes
-    that see the same slice share one frozenset: a cover has tens of
-    thousands of cubes but a few hundred distinct slices.
-    """
-    reach = max(factors) * cover.halves
-    rows, cols = near_pairs(cover.centers, reach, net.points, np.zeros(net.size))
+    def __init__(self, lacunae, labels: np.ndarray, true: np.ndarray, projections: np.ndarray):
+        super().__init__(lacunae)
+        self.labels, self.true, self.projections = labels, true, projections
+
+
+def _slice_pairs(cover: WhitneyCover, net: ConcentrationNet):
+    """The pairs (cube ``i``, net point ``e``) with ``e`` in ``90 Q_i``, by cube
+    then point, their gaps ``|c_i - e|_inf``, and a mask of those with ``e``
+    in ``10 Q_i``: a subset, as the same gap is compared against ``10 h <= 90 h``."""
+    rows, cols = near_pairs(cover.centers, OUTER_DILATION * cover.halves, net.points, np.zeros(net.size))
     gaps = np.max(np.abs(cover.centers[rows] - net.points[cols]), axis=1)
-    out = []
-    for factor in factors:
-        # pairs come sorted by cube, then by net point
-        inside = gaps <= factor * cover.halves[rows]
-        ids = cols[inside].tolist()
-        ends = np.cumsum(np.bincount(rows[inside], minlength=cover.size)).tolist()
-        shared: dict[tuple, frozenset] = {}
-        slices = []
-        for a, b in zip([0] + ends[:-1], ends):
-            key = tuple(ids[a:b])
-            if key not in shared:
-                shared[key] = frozenset(key)
-            slices.append(shared[key])
-        out.append(slices)
-    return out
+    inside = gaps <= OUTER_DILATION * cover.halves[rows]
+    rows, cols, gaps = rows[inside], cols[inside], gaps[inside]
+    return rows, cols, gaps, gaps <= INNER_DILATION * cover.halves[rows]
 
 
-def _first_extrema(halves: np.ndarray, groups: list[list[int]]) -> list[list[int]]:
-    """Per group of cube ids, its first smallest and its first largest cube in
-    the group's order, as ``np.argmin`` and ``np.argmax`` take them."""
-    lengths = np.array([len(ids) for ids in groups], dtype=np.intp)
-    flat = np.fromiter((i for ids in groups for i in ids), dtype=np.intp, count=int(lengths.sum()))
-    seg = np.repeat(np.arange(lengths.shape[0]), lengths)
-    firsts = np.cumsum(lengths) - lengths
-    h = halves[flat]
-    # a stable sort by group, then half side: each group's first entry
-    return [flat[np.lexsort((key, seg))[firsts]].tolist() for key in (h, -h)]
+def _slice_ranks(cols: np.ndarray, start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per cube, the place of its slice ``cols[start : start + count]`` among
+    the distinct slices in the order ``sorted`` gives them as tuples, and the
+    number of distinct slices."""
+    by_length = np.argsort(count, kind="stable")
+    lengths, firsts = np.unique(count[by_length], return_index=True)
+    width = int(lengths[-1])
+    slice_of = np.empty(count.shape[0], dtype=np.intp)
+    padded, total = [], 0
+    for length, cubes in zip(lengths.tolist(), np.split(by_length, firsts[1:])):
+        # the slices of one length in sorted order, and where each new one starts
+        block = cols[start[cubes, None] + np.arange(length)]
+        order = np.lexsort(block.T[::-1])
+        block = block[order]
+        new = np.ones(cubes.shape[0], dtype=bool)
+        new[1:] = np.any(block[1:] != block[:-1], axis=1)
+        slice_of[cubes[order]] = total + np.cumsum(new) - 1
+        total += int(new.sum())
+        # pad with -1, so a slice sorts before the longer slices it begins
+        block = block[new]
+        padded.append(np.concatenate([block, np.full((block.shape[0], width - length), -1)], axis=1))
+    rank = np.empty(total, dtype=np.intp)
+    rank[np.lexsort(np.concatenate(padded).T[::-1])] = np.arange(total)
+    return rank[slice_of], total
 
 
-def partition_lacunae(cover: WhitneyCover, net: ConcentrationNet) -> list[Lacuna]:
-    """Assign every cover cube to exactly one lacuna."""
-    in10, in90 = _net_points_in(cover, net, INNER_DILATION, OUTER_DILATION)
-    for i in range(cover.size):
-        if not in90[i]:
-            raise LacunaError(f"cube {i} sees no net point inside 90Q")
+def partition_lacunae(cover: WhitneyCover, net: ConcentrationNet) -> Lacunae:
+    """Assign every cover cube to exactly one lacuna, and project each lacuna.
 
-    groups: dict[frozenset, list[int]] = {}
-    singles: list[int] = []
-    for i in range(cover.size):
-        if in10[i] == in90[i]:
-            groups.setdefault(in10[i], []).append(i)
-        else:
-            singles.append(i)
-
-    # lacunae in output order: the true ones by their sorted slice, then the
-    # elementary singletons
-    parts: list[tuple[list[int], str, frozenset]] = []
-    for V in sorted(groups, key=lambda s: tuple(sorted(s))):
-        ids = groups[V]
-        # the shared slice must be literally identical across members
-        for i in ids:
-            if in90[i] != V:
-                raise LacunaError(f"member {i} disagrees on the lacuna slice")
-        parts.append((ids, "true", V))
-    parts.extend(([i], "elementary", in90[i]) for i in singles)
-
-    q_min, q_max = _first_extrema(cover.halves, [ids for ids, _, _ in parts])
-    all_ids = frozenset(range(net.size))
-    out: list[Lacuna] = []
-    for (ids, kind, V), lo, hi in zip(parts, q_min, q_max):
-        outer = kind == "true" and V == all_ids
-        out.append(Lacuna(
-            ids=list(ids), kind=kind, V=tuple(sorted(V)), q_min=lo, q_max=None if outer else hi, outer=outer
-        ))
-
-    covered = sorted(j for lac in out for j in lac.ids)
-    if covered != list(range(cover.size)):
-        raise LacunaError("lacunae do not partition the cover")
-    return out
-
-
-def project_lacuna(
-    lac: Lacuna,
-    net: ConcentrationNet,
-    cover: WhitneyCover,
-    gamma0: float = 1.0,
-    max_doublings: int = 60,
-) -> tuple[int, float]:
-    """Net point in ``gamma * Q_min`` nearest to the minimal cube's center.
-
-    The dilation starts at ``gamma0`` and doubles until the slab contains a
-    net point; the final dilation is recorded on the lacuna.
+    True lacunae come first, by sorted slice, then the elementary singletons;
+    members are in cube order.  ``V`` is the ``90 Q`` slice of ``q_min``, so
+    it holds every net point within ``90 h`` of that cube's centre, and the
+    ``projection``, the nearest of them (ties to the lowest id), is the
+    nearest net point.  ``projection_gamma`` is the least power of two
+    ``gamma >= 1`` with the projection in ``gamma q_min``.
     """
-    c = cover.centers[lac.q_min]
-    h = cover.halves[lac.q_min]
-    d = np.max(np.abs(net.points - c), axis=1)
-    gamma = gamma0
-    for _ in range(max_doublings):
-        inside = np.nonzero(d <= gamma * h)[0]
-        if inside.size:
-            best = inside[int(np.argmin(d[inside]))]
-            lac.projection = int(best)
-            lac.projection_gamma = float(gamma)
-            return int(best), float(gamma)
-        gamma *= 2.0
-    raise LacunaError("no net point reachable from the minimal cube")
+    rows, cols, gaps, in10 = _slice_pairs(cover, net)
+    count = np.bincount(rows, minlength=cover.size)
+    if not count.all():
+        raise LacunaError(f"cube {int(np.argmin(count))} sees no net point inside 90Q")
+    start = np.cumsum(count) - count
+    is_true = np.bincount(rows[in10], minlength=cover.size) == count
+
+    ranks, distinct = _slice_ranks(cols, start, count)
+    _, true_label = np.unique(ranks[is_true], return_inverse=True)
+    n_true = int(true_label.max(initial=-1)) + 1
+    labels = np.empty(cover.size, dtype=np.intp)
+    labels[is_true] = true_label.reshape(-1)
+    labels[~is_true] = n_true + np.arange(cover.size - int(is_true.sum()))
+
+    # members in lacuna order, then cube order; per lacuna the first
+    # smallest and first largest member, as np.argmin and np.argmax take them
+    members = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels)
+    firsts = np.cumsum(sizes) - sizes
+    seg, h = labels[members], cover.halves[members]
+    q_min = members[np.lexsort((h, seg))[firsts]]
+    q_max = members[np.lexsort((-h, seg))[firsts]]
+    true = np.arange(sizes.shape[0]) < n_true
+    outer = true & (count[q_min] == net.size)
+
+    # the slice of each q_min cube and its first point at the smallest gap
+    # (the lowest id on ties), found in cube order, then put in lacuna order
+    is_min = np.zeros(cover.size, dtype=bool)
+    is_min[q_min] = True
+    at = np.flatnonzero(is_min[rows])
+    v_size = count[is_min]
+    v_start = np.cumsum(v_size) - v_size
+    near = gaps[at]
+    hits = np.flatnonzero(near == np.repeat(np.minimum.reduceat(near, v_start), v_size))
+    nearest = at[hits[np.searchsorted(hits, v_start)]]
+    order = np.argsort(labels[is_min])
+    v_size, v_start, nearest = v_size[order], v_start[order], nearest[order]
+    projections, d, h_min, points = cols[nearest], gaps[nearest], cover.halves[q_min], cols[at]
+    del rows, cols, gaps, in10, at, near  # the records below need none of the pairs
+    gamma = np.ones(sizes.shape[0])
+    while np.any(far := d > gamma * h_min):
+        gamma[far] *= 2.0
+
+    ids, points = members.tolist(), points.tolist()
+    lacunae = Lacunae(
+        [
+            Lacuna(ids[a : a + k], "true" if t else "elementary", tuple(points[s : s + v]),
+                   lo, None if o else hi, o, e, g)
+            for a, k, t, s, v, lo, hi, o, e, g in zip(
+                firsts.tolist(), sizes.tolist(), true.tolist(), v_start.tolist(), v_size.tolist(),
+                q_min.tolist(), q_max.tolist(), outer.tolist(), projections.tolist(), gamma.tolist(),
+            )
+        ],
+        labels,
+        true,
+        projections,
+    )
+    log.info(
+        "lacunae: %d cubes, %d true, %d elementary, %d outer lacunae, %d distinct slices, "
+        "largest projection gamma %g, projection multiplicity %d",
+        cover.size, n_true, sizes.shape[0] - n_true, int(outer.sum()), distinct,
+        gamma.max(), projection_multiplicity(lacunae),
+    )
+    return lacunae
 
 
-def contact_graph(lacunae: list[Lacuna], cover: WhitneyCover):
+def contact_graph(lacunae: Lacunae, cover: WhitneyCover):
     """Lacuna adjacency through touching member cubes.
 
-    Returns ``(edges, report)`` where ``edges`` is a set of index pairs and
-    the report carries per-lacuna contact counts plus any contacts between
-    two true lacunae (recorded as findings, not errors).
+    Returns ``(edges, report)``.  ``edges`` is a ``(k, 2)`` array of the
+    lacuna pairs ``a < b`` with touching member cubes, each once, in
+    ascending order.  The report carries the largest number of contacts of
+    one lacuna and the contacts between two true lacunae (recorded as
+    findings, not errors).
     """
-    owner = np.empty(cover.size, dtype=int)
-    for li, lac in enumerate(lacunae):
-        owner[lac.ids] = li
-    edges: set[tuple[int, int]] = set()
-    for i in range(cover.size):
-        for j in cover.neighbors[i]:
-            a, b = int(owner[i]), int(owner[int(j)])
-            if a != b:
-                edges.add((min(a, b), max(a, b)))
-    contacts = np.zeros(len(lacunae), dtype=int)
-    for a, b in edges:
-        contacts[a] += 1
-        contacts[b] += 1
-    findings = [
-        (a, b)
-        for a, b in sorted(edges)
-        if lacunae[a].kind == "true" and lacunae[b].kind == "true"
-    ]
+    src, dst = cover.edges()
+    a, b = lacunae.labels[src], lacunae.labels[dst]
+    cross = a != b
+    size = len(lacunae)
+    keys = np.unique(np.minimum(a, b)[cross] * size + np.maximum(a, b)[cross])
+    edges = np.stack(np.divmod(keys, size), axis=1)
+    contacts = np.bincount(edges.ravel(), minlength=size)
     report = {
-        "max_contacts": int(contacts.max()) if len(lacunae) else 0,
-        "true_true_contacts": findings,
+        "max_contacts": int(contacts.max(initial=0)),
+        "true_true_contacts": edges[lacunae.true[edges[:, 0]] & lacunae.true[edges[:, 1]]],
     }
     return edges, report
 
 
-def projection_multiplicity(lacunae: list[Lacuna]) -> int:
+def projection_multiplicity(lacunae: Lacunae) -> int:
     """Largest number of lacunae sharing one projected net point."""
-    counts: dict[int, int] = {}
-    for lac in lacunae:
-        if lac.projection is not None:
-            counts[lac.projection] = counts.get(lac.projection, 0) + 1
-    return max(counts.values(), default=0)
+    return int(np.bincount(lacunae.projections).max(initial=0))

@@ -134,6 +134,8 @@ class AtomicMeasure:
         """
         C = np.atleast_2d(np.asarray(centers, dtype=float))
         H = np.asarray(halves, dtype=float).ravel()
+        if not (C.size or H.size):
+            C = C.reshape(0, self.n)  # an empty cube set has no dimension to check
         if C.shape != (H.shape[0], self.n):
             raise ValueError(f"expected {H.shape[0]} centers of dimension {self.n}, got {C.shape}")
         rows, atoms = near_pairs(C, H, self.positions, np.zeros(self.m))

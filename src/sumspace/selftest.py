@@ -19,7 +19,7 @@ from .functional import (
 )
 from .geometry import Cube, CubeFamily, color_disjoint, cubes_intersect, select_min_disjoint
 from .instances import random_instance
-from .lacunae import contact_graph, partition_lacunae, project_lacuna
+from .lacunae import contact_graph, partition_lacunae
 from .measure import lp_norm
 from .oracle1d import OracleProblem, k_exact, sigma_norm_exact
 from .whitney import PartitionOfUnity, assign_anchors, build_whitney
@@ -120,8 +120,6 @@ def _pipeline_checks(rep: _Report, inst, tag: str, rng: np.random.Generator):
     lacs = partition_lacunae(cover, net)
     covered = sorted(i for l in lacs for i in l.ids)
     rep.check(f"{tag}_lacunae_partition", covered == list(range(cover.size)), float(len(lacs)))
-    for lac in lacs:
-        project_lacuna(lac, net, cover)
     contact_graph(lacs, cover)
 
     dec = build_extension(f, mu, net, cover, pou, prm)

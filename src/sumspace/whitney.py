@@ -41,6 +41,9 @@ __all__ = [
 
 log = logging.getLogger("sumspace.whitney")
 
+# the dyadic level past which build_whitney gives up splitting
+DEPTH_LIMIT = 60
+
 
 class DepthLimitError(RuntimeError):
     """Net points too close for the dyadic depth limit to resolve."""
@@ -68,7 +71,6 @@ class WhitneyCover:
     hole_net: np.ndarray
     net: ConcentrationNet
     anchors: np.ndarray | None = None
-    max_depth: int = 60
 
     @property
     def size(self) -> int:
@@ -127,7 +129,7 @@ def _dist_cubes_to_points(C: np.ndarray, H: np.ndarray, E: np.ndarray) -> np.nda
     return np.min(np.max(gaps, axis=2), axis=1)
 
 
-def build_whitney(net: ConcentrationNet, max_depth: int = 60) -> WhitneyCover:
+def build_whitney(net: ConcentrationNet) -> WhitneyCover:
     """Dyadic Whitney decomposition of the working box minus the net points."""
     if net.size == 0:
         raise ValueError("net is empty")
@@ -149,7 +151,7 @@ def build_whitney(net: ConcentrationNet, max_depth: int = 60) -> WhitneyCover:
     H = np.array([box.half_side])
     level = 0
     while C.shape[0]:
-        if level > max_depth:
+        if level > DEPTH_LIMIT:
             # only unresolved multi-point cubes are fatal; they mean the net
             # packs points below the dyadic resolution
             counts = [
@@ -158,10 +160,10 @@ def build_whitney(net: ConcentrationNet, max_depth: int = 60) -> WhitneyCover:
             ]
             if any(c >= 2 for c in counts):
                 raise DepthLimitError(
-                    f"net point density exceeds dyadic depth limit {max_depth}"
+                    f"net point density exceeds dyadic depth limit {DEPTH_LIMIT}"
                 )
             raise DepthLimitError(
-                f"dyadic recursion not settled at depth {max_depth}"
+                f"dyadic recursion not settled at depth {DEPTH_LIMIT}"
             )
         D = _dist_cubes_to_points(C, H, E)
         keep = D >= 2.0 * H
@@ -238,7 +240,6 @@ def build_whitney(net: ConcentrationNet, max_depth: int = 60) -> WhitneyCover:
         hole_halves=holes_h,
         hole_net=holes_e,
         net=net,
-        max_depth=max_depth,
     )
 
 

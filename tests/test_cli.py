@@ -177,6 +177,28 @@ def test_family_with_a_bad_cube_is_an_input_error(files, capsys, tmp_path, bad):
     assert (code, out, err) == (1, "", f"error: {want.value}\n")
 
 
+def test_empty_family_is_admissible_in_1d_and_2d(files, capsys, tmp_path):
+    m1, f1, _ = files
+    m2, f2 = tmp_path / "m2.json", tmp_path / "f2.json"
+    m2.write_text(json.dumps({"n": 2, "atoms": [{"x": [0.0, 0.0], "w": 1.0}, {"x": [1.0, 2.0], "w": 1.0}]}))
+    f2.write_text(json.dumps(STEP))
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"cubes": [], "prime": [], "dprime": []}))
+    for m, f in ((m1, f1), (m2, str(f2))):
+        argv = ["validate-family", "--measure", str(m), "--p", "3", "--family", str(empty)]
+        code, out, err = run_cli(argv + ["--function", f], capsys)
+        assert (code, json.loads(out), err) == (0, {"admissible": True, "value": 0.0}, "")
+        code, out, err = run_cli(argv, capsys)
+        assert (code, json.loads(out), err) == (0, {"admissible": True}, "")
+    # cubes of the wrong dimension are still an input error
+    wrong = tmp_path / "wrong.json"
+    wrong.write_text(json.dumps({"cubes": [{"c": [0.5], "r": 0.6}], "prime": [0], "dprime": [0]}))
+    code, out, err = run_cli(
+        ["validate-family", "--measure", str(m2), "--p", "3", "--family", str(wrong)], capsys
+    )
+    assert (code, out, err) == (1, "", "error: expected 1 centers of dimension 2, got (1, 1)\n")
+
+
 def test_input_errors(files, capsys, tmp_path):
     m, f, _ = files
     code, _, err = run_cli(["oracle", "--measure", m, "--function", f, "--p", "0.5"], capsys)
@@ -192,7 +214,9 @@ def test_input_errors(files, capsys, tmp_path):
 
 def test_selftest_deterministic_bytes(tmp_path, cli_env):
     cmd = [sys.executable, "-m", "sumspace", "selftest", "--seed", "7"]
-    r1 = subprocess.run(cmd, capture_output=True, cwd=tmp_path, env=cli_env)
-    r2 = subprocess.run(cmd, capture_output=True, cwd=tmp_path, env=cli_env)
+    r1 = subprocess.run(cmd, capture_output=True, cwd=tmp_path, env={**cli_env, "SUMSPACE_LOG": "error"})
+    # the second run logs at info, to stderr only
+    r2 = subprocess.run(cmd, capture_output=True, cwd=tmp_path, env={**cli_env, "SUMSPACE_LOG": "info"})
     assert r1.returncode == 0, r1.stderr.decode()
     assert r1.stdout == r2.stdout
+    assert r1.stderr == b"" and b"lacunae: " in r2.stderr

@@ -28,7 +28,7 @@ from sumspace.functional import (
 )
 from sumspace.geometry import Cube, CubeFamily, cube_contains
 from sumspace.instances import heavy_grid, suite_1d, suite_2d
-from sumspace.lacunae import partition_lacunae, project_lacuna
+from sumspace.lacunae import partition_lacunae
 from sumspace.measure import AtomicMeasure
 from sumspace.oracle1d import OracleProblem, sigma_norm_exact
 from sumspace.whitney import assign_anchors, build_whitney
@@ -448,9 +448,7 @@ def _dense_reference_family(mu, net, cover, lacunae, params):
         pairs.append(WeightedPair(lam, [qp], [qd], tag))
     away_set = set(away)
     for lac in lacunae:
-        if lac.projection is None:
-            project_lacuna(lac, net, cover)
-        k_cube = tilde_cube[int(lac.projection)]
+        k_cube = tilde_cube[lac.projection]
         mass = _loop_mass(mu, k_cube)
         member_cubes = [cover.cube(i) for i in lac.ids if i in away_set]
         if not member_cubes or mass <= 0:

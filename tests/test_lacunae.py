@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import tracemalloc
 
 import numpy as np
@@ -11,10 +12,9 @@ from sumspace.lacunae import (
     OUTER_DILATION,
     Lacuna,
     LacunaError,
-    _net_points_in,
+    _slice_pairs,
     contact_graph,
     partition_lacunae,
-    project_lacuna,
     projection_multiplicity,
 )
 from sumspace.measure import AtomicMeasure
@@ -117,11 +117,30 @@ def test_projection_lands_near_qmin():
     prm, net, cover = pipeline(mu)
     lacs = partition_lacunae(cover, net)
     for lac in lacs:
-        pid, gamma = project_lacuna(lac, net, cover)
         c = cover.centers[lac.q_min]
         h = cover.halves[lac.q_min]
-        assert np.max(np.abs(net.points[pid] - c)) <= gamma * h
+        d = np.max(np.abs(net.points - c), axis=1)
+        assert lac.projection in lac.V and d[lac.projection] == d.min()
+        assert d[lac.projection] <= lac.projection_gamma * h
+        assert lac.projection_gamma == 1.0 or d[lac.projection] > lac.projection_gamma / 2 * h
     assert projection_multiplicity(lacs) >= 1
+
+
+def _loop_contact_graph(lacunae, cover):
+    """Reference: the lacuna pairs of every touching cube pair, and their contact counts."""
+    owner = {i: li for li, lac in enumerate(lacunae) for i in lac.ids}
+    edges = set()
+    for i in range(cover.size):
+        for j in cover.neighbors[i]:
+            a, b = owner[i], owner[int(j)]
+            if a != b:
+                edges.add((min(a, b), max(a, b)))
+    contacts = np.zeros(len(lacunae), dtype=int)
+    for a, b in edges:
+        contacts[a] += 1
+        contacts[b] += 1
+    findings = [(a, b) for a, b in sorted(edges) if lacunae[a].kind == lacunae[b].kind == "true"]
+    return sorted(edges), {"max_contacts": int(contacts.max()), "true_true_contacts": findings}
 
 
 def test_contact_graph():
@@ -129,21 +148,30 @@ def test_contact_graph():
     prm, net, cover = pipeline(mu)
     lacs = partition_lacunae(cover, net)
     edges, report = contact_graph(lacs, cover)
-    if len(lacs) == 1:
-        assert not edges
-    owner = {}
-    for li, lac in enumerate(lacs):
-        for i in lac.ids:
-            owner[i] = li
+    want_edges, want_report = _loop_contact_graph(lacs, cover)
     # edges match cube adjacency across lacunae exactly
-    expected = set()
-    for i in range(cover.size):
-        for j in cover.neighbors[i]:
-            a, b = owner[i], owner[int(j)]
-            if a != b:
-                expected.add((min(a, b), max(a, b)))
-    assert edges == expected
-    assert report["max_contacts"] <= len(lacs)
+    assert edges.shape[0] > 0 and list(map(tuple, edges.tolist())) == want_edges
+    assert report["max_contacts"] == want_report["max_contacts"] <= len(lacs)
+    assert list(map(tuple, report["true_true_contacts"].tolist())) == want_report["true_true_contacts"]
+
+
+def test_partition_logs_one_info_line(caplog):
+    _, net, cover = pipeline(heavy_grid(3), 3.0)
+    with caplog.at_level(logging.INFO, logger="sumspace.lacunae"):
+        lacs = partition_lacunae(cover, net)
+    (record,) = [r for r in caplog.records if r.name == "sumspace.lacunae"]
+    true = sum(lac.kind == "true" for lac in lacs)
+    slices = len({lac.V for lac in lacs})
+    assert record.getMessage() == (
+        f"lacunae: {cover.size} cubes, {true} true, {len(lacs) - true} elementary, "
+        f"{sum(lac.outer for lac in lacs)} outer lacunae, {slices} distinct slices, "
+        f"largest projection gamma {max(lac.projection_gamma for lac in lacs):g}, "
+        f"projection multiplicity {projection_multiplicity(lacs)}"
+    )
+    caplog.clear()
+    with caplog.at_level(logging.ERROR, logger="sumspace.lacunae"):
+        partition_lacunae(cover, net)
+    assert not caplog.records
 
 
 def _dense_anchors(cover, net, params):
@@ -190,10 +218,13 @@ def test_anchors_and_slices_match_dense_reference():
         edge = np.concatenate([c + INNER_DILATION * h, c + OUTER_DILATION * h])
         boundary_hits += int(np.sum(np.abs(edge[: i.size] - c) == INNER_DILATION * h))
         for pts in (net, dataclasses.replace(net, points=edge)):
-            got = _net_points_in(cover, pts, INNER_DILATION, OUTER_DILATION)
-            for factor, slices in zip((INNER_DILATION, OUTER_DILATION), got):
-                assert slices == _dense_net_points_in(cover, pts, factor)
-                assert all(type(k) is int for s in slices for k in s)
+            rows, cols, gaps, in10 = _slice_pairs(cover, pts)
+            assert np.all(np.diff(rows * pts.size + cols) > 0)
+            assert np.array_equal(gaps, np.max(np.abs(cover.centers[rows] - pts.points[cols]), axis=1))
+            for factor, inside in ((INNER_DILATION, in10), (OUTER_DILATION, slice(None))):
+                ends = np.cumsum(np.bincount(rows[inside], minlength=cover.size))
+                got = [frozenset(s.tolist()) for s in np.split(cols[inside], ends[:-1])]
+                assert got == _dense_net_points_in(cover, pts, factor)
         # nets that do not fit the cover: the same anchors or the same message
         shifted = [dataclasses.replace(net, points=net.points + s * net.radii[:, None])
                    for s in (0.7, -2.0, 1e3)]
@@ -213,9 +244,30 @@ def test_anchors_and_slices_match_dense_reference():
     assert errors > 0 and boundary_hits > 0
 
 
+def _loop_project_lacuna(q_min, net, cover, gamma0=1.0, max_doublings=60):
+    """Reference: the net point in ``gamma * Q_min`` nearest to the minimal cube's center.
+
+    The dilation starts at ``gamma0`` and doubles until the slab contains a
+    net point; returns that point and the final dilation.
+    """
+    c = cover.centers[q_min]
+    h = cover.halves[q_min]
+    d = np.max(np.abs(net.points - c), axis=1)
+    gamma = gamma0
+    for _ in range(max_doublings):
+        inside = np.nonzero(d <= gamma * h)[0]
+        if inside.size:
+            best = inside[int(np.argmin(d[inside]))]
+            return int(best), float(gamma)
+        gamma *= 2.0
+    raise LacunaError("no net point reachable from the minimal cube")
+
+
 def _loop_partition_lacunae(cover, net):
-    """Reference: every lacuna built alone, its extremal cubes by ``np.argmin``/``np.argmax``."""
-    in10, in90 = _net_points_in(cover, net, INNER_DILATION, OUTER_DILATION)
+    """Reference: every lacuna built alone from the dense slices, its extremal
+    cubes by ``np.argmin``/``np.argmax``, its projection by the doubling search."""
+    in10 = _dense_net_points_in(cover, net, INNER_DILATION)
+    in90 = _dense_net_points_in(cover, net, OUTER_DILATION)
     for i in range(cover.size):
         if not in90[i]:
             raise LacunaError(f"cube {i} sees no net point inside 90Q")
@@ -232,11 +284,17 @@ def _loop_partition_lacunae(cover, net):
         q_min = ids[int(np.argmin(halves))]
         outer = kind == "true" and V == all_ids
         q_max = None if outer else ids[int(np.argmax(halves))]
+        projection, gamma = _loop_project_lacuna(q_min, net, cover)
         return Lacuna(ids=list(ids), kind=kind, V=tuple(sorted(V)), q_min=int(q_min),
-                      q_max=None if q_max is None else int(q_max), outer=outer)
+                      q_max=None if q_max is None else int(q_max), outer=outer,
+                      projection=projection, projection_gamma=gamma)
 
     out = [finish(groups[V], "true", V) for V in sorted(groups, key=lambda s: tuple(sorted(s)))]
     return out + [finish([i], "elementary", in90[i]) for i in singles]
+
+
+def _types(lacs):
+    return [tuple(type(getattr(l, f.name)) for f in dataclasses.fields(l)) for l in lacs]
 
 
 def test_partition_matches_loop_reference():
@@ -247,7 +305,16 @@ def test_partition_matches_loop_reference():
         got = partition_lacunae(cover, net)
         want = _loop_partition_lacunae(cover, net)
         assert got == want
-        assert [(type(l.q_min), type(l.q_max)) for l in got] == [(type(l.q_min), type(l.q_max)) for l in want]
+        assert _types(got) == _types(want)
+        assert [type(k) for l in got for k in l.ids + list(l.V)] == [int] * sum(len(l.ids) + len(l.V) for l in got)
+        edges, report = contact_graph(got, cover)
+        want_edges, want_report = _loop_contact_graph(want, cover)
+        assert list(map(tuple, edges.tolist())) == want_edges
+        assert report["max_contacts"] == want_report["max_contacts"]
+        assert list(map(tuple, report["true_true_contacts"].tolist())) == want_report["true_true_contacts"]
+        assert projection_multiplicity(got) == max(
+            sum(l.projection == e for l in want) for e in range(net.size)
+        )
 
 
 def test_anchor_and_slice_memory_scales_with_cubes():
@@ -259,9 +326,9 @@ def test_anchor_and_slice_memory_scales_with_cubes():
     tracemalloc.start()
     try:
         assign_anchors(cover, net, prm)
-        slices = _net_points_in(cover, net, INNER_DILATION, OUTER_DILATION)
+        rows, cols, gaps, in10 = _slice_pairs(cover, net)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cover.size > 20000 and len(slices[1]) == cover.size
+    assert cover.size > 20000 and np.unique(rows).shape[0] == cover.size
     assert peak < 16 * 2**20

@@ -70,11 +70,7 @@ def rung(mu, f, p: float) -> dict:
     cover, stages["build_whitney"] = measure(lambda: build_whitney(net))
     cover, stages["assign_anchors"] = measure(lambda: assign_anchors(cover, net, prm))
     lacs, stages["partition_lacunae"] = measure(lambda: partition_lacunae(cover, net))
-    # the family attaches projections to the lacunae, so each call gets a fresh list
-    fresh = [partition_lacunae(cover, net) for _ in range(2)]
-    ref, stages["build_reference_family"] = measure(
-        lambda: build_reference_family(mu, net, cover, fresh.pop(), prm)
-    )
+    ref, stages["build_reference_family"] = measure(lambda: build_reference_family(mu, net, cover, lacs, prm))
     pou = PartitionOfUnity(cover)
     _, stages["build_extension"] = measure(lambda: build_extension(f, mu, net, cover, pou, prm))
     return {
