@@ -233,10 +233,6 @@ class ConcentrationNet:
     def nearest(self, x) -> int:
         return int(np.argmin(self.point_dists(x)))
 
-    def covering_lhs(self, x) -> float:
-        """Best value of ``|x - e| + R(e)`` over the net."""
-        return float(np.min(self.point_dists(x) + self.radii))
-
     def to_json_dict(self) -> dict:
         return {
             "points": [

@@ -18,6 +18,7 @@ anchored-difference surrogate summed over neighboring cubes.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ log = logging.getLogger("sumspace.decompose")
 QUAD_ORDER = 4
 QUAD_DOUBLINGS = 3
 QUAD_REL_TOL = 1e-3
+# bound on the tensor nodes plus factor entries of the cubes stacked in one quadrature block
+QUAD_BLOCK = 1 << 15
 
 
 class WorkingBoxError(RuntimeError):
@@ -252,74 +255,119 @@ def mu_norm_f2(dec: Decomposition, p: float | None = None) -> float:
     return lp_norm(dec.mu, dec.f2, p)
 
 
-def _cube_cells(dec: Decomposition, i: int):
-    """Ids of cover cube ``i`` and its neighbors, their anchored values, and
-    per axis the edges of the cube's cells.
+def _cell_groups(dec: Decomposition, active: np.ndarray):
+    """The local cubes and cells of every active cube, grouped by shape.
 
-    Neighbor bumps switch on and off inside the cube, so the integrand has
+    The local set of cube ``i`` is ``i`` and then its neighbors.  Neighbor
+    bumps switch on and off inside the cube, so the integrand has
     axis-aligned kinks at the neighbors' plain and dilated faces; the cube is
-    split there into smooth cells.  None of this depends on the Gauss order.
+    split there into smooth cells.  Per axis, the cell edges are the distinct
+    faces in the closed cube, in ascending order; its own two faces are among
+    them.  Cubes with as many local cubes and cells per axis form one group,
+    returned as its positions in ``active``, the local ids and their anchored
+    values (G, L), and per axis the edges (G, cells + 1).  None of this
+    depends on the Gauss order.
     """
     cover = dec.cover
-    c, h = cover.centers[i], cover.halves[i]
-    local = np.concatenate([[i], cover.neighbors[i]]).astype(int)
-    nc = cover.centers[local]
-    nh = cover.halves[local]
+    owner, nb = cover.edges()
+    on = np.isin(owner, active)
+    key = np.concatenate([active, owner[on]])
+    # a stable sort puts every active cube before its neighbors, kept in their order
+    order = np.argsort(key, kind="stable")
+    local = np.concatenate([active, nb[on]])[order]
+    seg = np.searchsorted(active, key[order])
+    size = np.bincount(seg, minlength=active.size)
+    c, h = cover.centers[local], cover.halves[local]
     sup = PartitionOfUnity.SUPPORT
-    edges = []
+    edges, counts = [], [size]
     for ax in range(cover.n):
-        cuts = np.concatenate(
-            [nc[:, ax] - nh, nc[:, ax] + nh, nc[:, ax] - sup * nh, nc[:, ax] + sup * nh]
-        )
-        lo, hi = c[ax] - h, c[ax] + h
-        inner = np.unique(cuts[(cuts > lo) & (cuts < hi)])
-        edges.append(np.concatenate([[lo], inner, [hi]]))
-    return local, dec.tilde[cover.anchors[local]], edges
+        cuts = np.concatenate([c[:, ax] - h, c[:, ax] + h, c[:, ax] - sup * h, c[:, ax] + sup * h])
+        at = np.tile(seg, 4)
+        lo = cover.centers[active, ax] - cover.halves[active]
+        hi = cover.centers[active, ax] + cover.halves[active]
+        keep = (cuts >= lo[at]) & (cuts <= hi[at])
+        cuts, at = cuts[keep], at[keep]
+        o = np.lexsort((cuts, at))
+        cuts, at = cuts[o], at[o]
+        new = np.ones(cuts.size, dtype=bool)
+        new[1:] = (at[1:] != at[:-1]) | (cuts[1:] != cuts[:-1])
+        edges.append(cuts[new])
+        counts.append(np.bincount(at[new], minlength=active.size))
+    shapes, inv = np.unique(np.stack(counts, axis=1), axis=0, return_inverse=True)
+    starts = [np.cumsum(k) - k for k in counts]
+    groups = []
+    for g, shape in enumerate(shapes):
+        members = np.nonzero(inv.ravel() == g)[0]
+        take = lambda flat, start, k: flat[start[members][:, None] + np.arange(k)]
+        ids = take(local, starts[0], shape[0])
+        axes = [take(e, st, k) for e, st, k in zip(edges, starts[1:], shape[1:])]
+        groups.append((members, ids, dec.tilde[cover.anchors[ids]], axes))
+    return groups
 
 
-def _cell_nodes(edges: np.ndarray, nodes: np.ndarray, wts: np.ndarray):
-    """Gauss nodes and weights mapped onto every cell between ``edges``."""
-    a, b = edges[:-1], edges[1:]
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * wts).ravel()
-
-
-def _gradient_power(
+def _gradient_powers(
     pou: PartitionOfUnity,
-    local: np.ndarray,
+    ids: np.ndarray,
     t: np.ndarray,
     edges: list[np.ndarray],
     nodes: np.ndarray,
     wts: np.ndarray,
     p: float,
-) -> float:
-    """Tensor quadrature of ``max_axis |grad f1|^p`` over the cells of one cube.
+) -> np.ndarray:
+    """Tensor quadrature of ``max_axis |grad f1|^p`` over the cells of G cubes of one shape.
 
-    The bumps of the ``local`` cubes factor over the axes, so the sums over
-    cubes at every tensor node are matrix products of per-axis factors:
-    ``S = f0 f1^T`` and, for each axis, the bump-gradient sum ``G`` and its
-    ``t``-weighted counterpart ``A``.  A 1d cube gets a second, constant axis.
+    Row g of ``ids``, ``t`` and of the per-axis ``edges`` describes one cube.
+    The bumps of its local cubes factor over the axes, so the sums over
+    cubes at every tensor node are matrix products of per-axis factors,
+    stacked over the G cubes: ``S = f0 f1^T`` and, for each axis, the
+    bump-gradient sum and its ``t``-weighted counterpart.  A 1d cube gets a
+    second, constant axis.
     """
-    (x0, w0), *rest = [_cell_nodes(e, nodes, wts) for e in edges]
-    f0, d0 = pou.axis_factor(local, x0, 0)
+    G, L = ids.shape
+    axes = []
+    for e in edges:
+        mid, half = (e[:, :-1] + e[:, 1:]) / 2.0, (e[:, 1:] - e[:, :-1]) / 2.0
+        axes.append(
+            ((mid[..., None] + half[..., None] * nodes).reshape(G, -1),
+             (half[..., None] * wts).reshape(G, -1))
+        )
+    (x0, w0), *rest = axes
+    f0, d0 = pou.axis_factor(ids, x0, 0)
     if rest:
         (x1, w1), = rest
-        f1, d1 = pou.axis_factor(local, x1, 1)
+        f1, d1 = pou.axis_factor(ids, x1, 1)
     else:
-        w1, f1, d1 = np.ones(1), np.ones((1, local.size)), np.zeros((1, local.size))
+        w1, f1, d1 = np.ones((G, 1)), np.ones((G, 1, L)), np.zeros((G, 1, L))
+    t = t[:, None, :]
+    f1, d1 = f1.mT, d1.mT
     tf0 = t * f0
-    S = f0 @ f1.T
-    B = tf0 @ f1.T
+    S = f0 @ f1
+    B = tf0 @ f1
     S2 = S * S
-    gx = ((t * d0) @ f1.T * S - B * (d0 @ f1.T)) / S2
-    gy = (tf0 @ d1.T * S - B * (f0 @ d1.T)) / S2
+    gx = ((t * d0) @ f1 * S - B * (d0 @ f1)) / S2
+    gy = (tf0 @ d1 * S - B * (f0 @ d1)) / S2
     mag = np.maximum(np.abs(gx), np.abs(gy))
-    return float(w0 @ mag**p @ w1)
+    return ((w0[:, None, :] @ mag**p) @ w1[:, :, None])[:, 0, 0]
 
 
-def _cube_gradient_power(dec: Decomposition, i: int, nodes: np.ndarray, wts: np.ndarray, p: float) -> float:
-    """Integral of ``max_axis |grad f1|^p`` over cover cube ``i``."""
-    return _gradient_power(dec.pou, *_cube_cells(dec, i), nodes, wts, p)
+def _cube_powers(pou: PartitionOfUnity, groups, size: int, order: int, p: float) -> np.ndarray:
+    """Integral of ``max_axis |grad f1|^p`` over each of the ``size`` grouped cubes at Gauss ``order``.
+
+    A group is integrated in blocks of at most ``QUAD_BLOCK`` tensor nodes
+    and factor entries (at least one cube), so memory does not grow with
+    the group; every cube's part is the same however its group is split.
+    """
+    nodes, wts = leggauss(order)
+    parts = np.empty(size)
+    for members, ids, t, edges in groups:
+        per_axis = [(e.shape[1] - 1) * order for e in edges]
+        step = max(1, QUAD_BLOCK // (math.prod(per_axis) + sum(per_axis) * ids.shape[1]))
+        for s in range(0, members.size, step):
+            blk = slice(s, s + step)
+            parts[members[blk]] = _gradient_powers(
+                pou, ids[blk], t[blk], [e[blk] for e in edges], nodes, wts, p
+            )
+    return parts
 
 
 def _active_cubes(dec: Decomposition) -> np.ndarray:
@@ -355,15 +403,11 @@ def estimate_sobolev_seminorm(dec: Decomposition, method: str = "quadrature") ->
     p = dec.params.p
     cover = dec.cover
     if method == "discrete":
-        total = 0.0
-        n = cover.n
-        for i in range(cover.size):
-            ti = dec.tilde[cover.anchors[i]]
-            d = 2.0 * cover.halves[i]
-            for j in cover.neighbors[i]:
-                tj = dec.tilde[cover.anchors[int(j)]]
-                total += abs(tj - ti) ** p / d ** (p - n)
-        return total ** (1.0 / p)
+        i, j = cover.edges()
+        v = dec.tilde[cover.anchors]
+        terms = np.abs(v[j] - v[i]) ** p / (2.0 * cover.halves[i]) ** (p - cover.n)
+        # a sequential sum in edge order (np.sum would add pairwise)
+        return float(np.cumsum(np.append(0.0, terms))[-1]) ** (1.0 / p)
     if method != "quadrature":
         raise ValueError(f"unknown seminorm method {method!r}")
 
@@ -372,14 +416,11 @@ def estimate_sobolev_seminorm(dec: Decomposition, method: str = "quadrature") ->
         log.info("seminorm: 0/%d active cubes, 0 rounds, value 0", cover.size)
         return 0.0
 
-    cells = [_cube_cells(dec, i) for i in active]
+    groups = _cell_groups(dec, active)
     order = QUAD_ORDER
     rounds: list[tuple[np.ndarray, float]] = []
     for _ in range(QUAD_DOUBLINGS + 1):
-        nodes, wts = leggauss(order)
-        parts = np.array(
-            [_gradient_power(dec.pou, *cell, nodes, wts, p) for cell in cells]
-        )
+        parts = _cube_powers(dec.pou, groups, active.size, order, p)
         total = float(parts.sum() ** (1.0 / p))
         if rounds:
             prev_total = rounds[-1][1]

@@ -130,11 +130,6 @@ class Cube:
             raise ValueError("dilation factor must be positive")
         return Cube(self.center, alpha * self.half_side)
 
-    def contains_point(self, x) -> bool:
-        x = as_point(x)
-        _check_same_dim(x, self.center)
-        return bool(np.all(np.abs(x - self.center) <= self.half_side))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         c = ",".join(f"{v:g}" for v in self.center)
         return f"Cube(({c}), r={self.half_side:g})"

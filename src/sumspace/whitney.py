@@ -366,10 +366,12 @@ class PartitionOfUnity:
 
         The bump of a cube is the product of its factors over the axes.
         Returns the factor values and their signed derivatives in ``x``, both
-        of shape (len(x), len(ids)).
+        of shape (N, L) for ``ids`` of shape (L,) and ``x`` of shape (N,), or
+        of shape (G, N, L), one stack entry per row, for ``ids`` of shape
+        (G, L) and ``x`` of shape (G, N).
         """
-        d = x[:, None] - self.cover.centers[ids, axis][None, :]
-        return self._factor(d, self.cover.halves[ids][None, :])
+        d = x[..., :, None] - self.cover.centers[ids, axis][..., None, :]
+        return self._factor(d, self.cover.halves[ids][..., None, :])
 
     def bumps(self, ids: np.ndarray, X: np.ndarray):
         """Bump ``b`` of cube ``ids[k]`` and its gradient at the point ``X[k]``, for every k.
@@ -385,6 +387,8 @@ class PartitionOfUnity:
 
         Net points, inner holes and the cubes whose ``Q*`` may hold a row are
         found by ``near_pairs`` lookups, then decided by exact closed tests.
+        A row that those tests leave unclassified is tested against the holes
+        once more with a relative slack of 1e-12 of the hole half side.
         """
         cover, net = self.cover, self.cover.net
         X = np.asarray(X, dtype=float)
@@ -399,11 +403,10 @@ class PartitionOfUnity:
         rows = np.nonzero((net_hit < 0) & ~outside)[0]
         Y = X[rows]
 
-        at, h = near_pairs(Y, np.zeros(rows.size), cover.hole_centers, cover.hole_halves)
-        inside = np.all(np.abs(Y[at] - cover.hole_centers[h]) <= cover.hole_halves[h][:, None], axis=1)
-        hole_net = np.full(P, -1, dtype=np.intp)
-        hole = _first_hits(at[inside], h[inside], rows.size)
-        hole_net[rows[hole >= 0]] = cover.hole_net[hole[hole >= 0]]
+        hat, h = near_pairs(Y, np.zeros(rows.size), cover.hole_centers, cover.hole_halves)
+        off = np.abs(Y[hat] - cover.hole_centers[h])
+        inside = np.all(off <= cover.hole_halves[h][:, None], axis=1)
+        hole = _first_hits(hat[inside], h[inside], rows.size)
 
         reach = self.SUPPORT * cover.halves
         at, q = near_pairs(Y, np.zeros(rows.size), cover.centers, reach)
@@ -415,6 +418,12 @@ class PartitionOfUnity:
         # S in ascending cube order by numpy's summation, as for one point alone
         S = segment_reduce(np.bincount(at, minlength=rows.size), lambda x: x.sum(axis=1), b)
         G = np.stack([np.bincount(at, weights=g[:, ax], minlength=rows.size) for ax in range(cover.n)], axis=1)
+        # a row that no closed test classifies can sit a rounding outside a hole face
+        stray = (hole < 0) & (S == 0.0)
+        near = stray[hat] & np.all(off <= cover.hole_halves[h][:, None] * (1 + 1e-12), axis=1)
+        hole[stray] = _first_hits(hat[near], h[near], rows.size)[stray]
+        hole_net = np.full(P, -1, dtype=np.intp)
+        hole_net[rows[hole >= 0]] = cover.hole_net[hole[hole >= 0]]
         total = np.zeros(P)
         total[rows] = S
         S, G = S[at], G[at]

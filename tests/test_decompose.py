@@ -5,11 +5,12 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from sumspace.concentration import Params, build_net
+import sumspace.decompose as decompose_mod
 from sumspace.decompose import (
+    QuadratureError,
     _active_cubes,
-    _cell_nodes,
-    _cube_cells,
-    _cube_gradient_power,
+    _cell_groups,
+    _cube_powers,
     build_extension,
     estimate_sobolev_seminorm,
     eval_f1,
@@ -225,10 +226,6 @@ def test_seminorm_quadrature_vs_dense_sampling():
 
 def test_seminorm_quadrature_vs_dense_sampling_2d():
     # per-cube oracle: dense trapezoid of the pointwise-evaluated gradient
-    from numpy.polynomial.legendre import leggauss
-
-    from sumspace.decompose import _cube_gradient_power
-
     rng = np.random.default_rng(14)
     mu = AtomicMeasure(
         np.array([[-8.0, -8.0], [8.0, 7.0], [7.5, 8.5]]), np.array([1.0, 1.5, 0.8])
@@ -240,7 +237,7 @@ def test_seminorm_quadrature_vs_dense_sampling_2d():
     # pick the cube with the largest contribution
     nodes, wts = leggauss(8)
     parts = np.array(
-        [_cube_gradient_power(dec, i, nodes, wts, prm.p) for i in range(cover.size)]
+        [_loop_cube_power(dec, i, nodes, wts, prm.p) for i in range(cover.size)]
     )
     i = int(np.argmax(parts))
     c, h = cover.centers[i], cover.halves[i]
@@ -304,10 +301,76 @@ def test_anchored_values_agree_on_eta_core():
                     assert cover.anchors[int(j)] == e
 
 
+def _loop_cube_cells(dec, i):
+    """Reference: ids of cover cube ``i`` and its neighbors, their anchored
+    values, and per axis the edges of the cube's cells (split at the
+    neighbors' plain and dilated faces)."""
+    cover = dec.cover
+    c, h = cover.centers[i], cover.halves[i]
+    local = np.concatenate([[i], cover.neighbors[i]]).astype(int)
+    nc = cover.centers[local]
+    nh = cover.halves[local]
+    sup = PartitionOfUnity.SUPPORT
+    edges = []
+    for ax in range(cover.n):
+        cuts = np.concatenate(
+            [nc[:, ax] - nh, nc[:, ax] + nh, nc[:, ax] - sup * nh, nc[:, ax] + sup * nh]
+        )
+        lo, hi = c[ax] - h, c[ax] + h
+        inner = np.unique(cuts[(cuts > lo) & (cuts < hi)])
+        edges.append(np.concatenate([[lo], inner, [hi]]))
+    return local, dec.tilde[cover.anchors[local]], edges
+
+
+def _loop_cell_nodes(edges, nodes, wts):
+    """Reference: Gauss nodes and weights mapped onto every cell between ``edges``."""
+    a, b = edges[:-1], edges[1:]
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
+    return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * wts).ravel()
+
+
+def _loop_gradient_power(pou, local, t, edges, nodes, wts, p):
+    """Reference: tensor quadrature of ``max_axis |grad f1|^p`` over the cells of
+    one cube, as per-axis factor products ``S = f0 f1^T`` and so on."""
+    (x0, w0), *rest = [_loop_cell_nodes(e, nodes, wts) for e in edges]
+    f0, d0 = pou.axis_factor(local, x0, 0)
+    if rest:
+        (x1, w1), = rest
+        f1, d1 = pou.axis_factor(local, x1, 1)
+    else:
+        w1, f1, d1 = np.ones(1), np.ones((1, local.size)), np.zeros((1, local.size))
+    tf0 = t * f0
+    S = f0 @ f1.T
+    B = tf0 @ f1.T
+    S2 = S * S
+    gx = ((t * d0) @ f1.T * S - B * (d0 @ f1.T)) / S2
+    gy = (tf0 @ d1.T * S - B * (f0 @ d1.T)) / S2
+    mag = np.maximum(np.abs(gx), np.abs(gy))
+    return float(w0 @ mag**p @ w1)
+
+
+def _loop_cube_power(dec, i, nodes, wts, p):
+    """Reference: integral of ``max_axis |grad f1|^p`` over cover cube ``i``."""
+    return _loop_gradient_power(dec.pou, *_loop_cube_cells(dec, i), nodes, wts, p)
+
+
+def _loop_discrete_surrogate(dec):
+    """Reference: the anchored-difference surrogate summed cube by cube, neighbor by neighbor."""
+    cover, p = dec.cover, dec.params.p
+    total = 0.0
+    for i in range(cover.size):
+        ti = dec.tilde[cover.anchors[i]]
+        d = 2.0 * cover.halves[i]
+        for j in cover.neighbors[i]:
+            tj = dec.tilde[cover.anchors[int(j)]]
+            total += abs(tj - ti) ** p / d ** (p - cover.n)
+    return total ** (1.0 / p)
+
+
 def _dense_gradient_power(dec, i, nodes, wts, p):
     """Reference: the dense bump formula at every node of the tensor grid."""
-    local, t, edges = _cube_cells(dec, i)
-    axes = [_cell_nodes(e, nodes, wts) for e in edges]
+    local, t, edges = _loop_cube_cells(dec, i)
+    axes = [_loop_cell_nodes(e, nodes, wts) for e in edges]
     X = np.stack([g.ravel() for g in np.meshgrid(*[x for x, _ in axes], indexing="ij")], axis=1)
     W = np.prod(np.meshgrid(*[w for _, w in axes], indexing="ij"), axis=0).ravel()
     b, g = _dense_bumps(dec.pou, local, X)
@@ -348,9 +411,87 @@ def test_separable_quadrature_matches_dense_bumps(build):
     assert active.size > 0
     for order in (4, 8):
         nodes, wts = leggauss(order)
-        new = np.array([_cube_gradient_power(dec, i, nodes, wts, prm.p) for i in active])
+        new = np.array([_loop_cube_power(dec, i, nodes, wts, prm.p) for i in active])
         ref = np.array([_dense_gradient_power(dec, i, nodes, wts, prm.p) for i in active])
         assert np.max(np.abs(new - ref)) <= 1e-12 * ref.sum()
+
+
+def _assert_batched_matches_loop(dec, orders=(4, 8, 16)):
+    """The grouped cells and the blocked parts against the per-cube loop, byte for byte."""
+    active = _active_cubes(dec)
+    groups = _cell_groups(dec, active)
+    seen = np.zeros(active.size, dtype=int)
+    for members, ids, t, edges in groups:
+        seen[members] += 1
+        for g, k in enumerate(members):
+            local, tl, el = _loop_cube_cells(dec, active[k])
+            assert ids[g].tobytes() == local.astype(ids.dtype).tobytes()
+            assert t[g].tobytes() == tl.tobytes()
+            assert len(edges) == len(el)
+            for e, ref in zip(edges, el):
+                assert e[g].tobytes() == ref.tobytes()
+    assert np.all(seen == 1)
+    for order in orders:
+        nodes, wts = leggauss(order)
+        loop = np.array([_loop_cube_power(dec, i, nodes, wts, dec.params.p) for i in active])
+        parts = _cube_powers(dec.pou, groups, active.size, order, dec.params.p)
+        assert parts.tobytes() == loop.tobytes()
+    return active, groups
+
+
+@pytest.mark.parametrize("build", [_clustered_1d, _heavy_grid_2d], ids=["1d", "2d"])
+def test_batched_quadrature_matches_loop_reference(build):
+    _assert_batched_matches_loop(build()[-1])
+
+
+def test_batched_quadrature_matches_loop_reference_on_suite_2d():
+    # most suite_2d instances have one net point, hence no active cube;
+    # every instance is run, and those with active cubes are counted
+    with_active = 0
+    for inst in suite_2d():
+        dec = decompose(inst.mu, inst.f, inst.p)[-1]
+        if _active_cubes(dec).size:
+            _assert_batched_matches_loop(dec)
+            with_active += 1
+        else:
+            assert estimate_sobolev_seminorm(dec) == 0.0
+    assert with_active >= 5
+
+
+def test_batched_quadrature_split_blocks_match_loop_reference(monkeypatch):
+    # a cap below one cube's nodes makes every block a single cube
+    monkeypatch.setattr(decompose_mod, "QUAD_BLOCK", 1)
+    prm, net, cover, pou, dec = _heavy_grid_2d()
+    active, groups = _assert_batched_matches_loop(dec)
+    assert max(members.size for members, *_ in groups) > 1
+    assert len(groups) < active.size
+
+
+def test_quadrature_error_names_the_loop_reference_worst_cube(monkeypatch):
+    # with one doubling and no tolerance the quadrature cannot settle
+    monkeypatch.setattr(decompose_mod, "QUAD_DOUBLINGS", 1)
+    monkeypatch.setattr(decompose_mod, "QUAD_REL_TOL", 0.0)
+    prm, net, cover, pou, dec = _heavy_grid_2d()
+    active = _active_cubes(dec)
+    parts = []
+    for order in (4, 8):
+        nodes, wts = leggauss(order)
+        parts.append(np.array([_loop_cube_power(dec, i, nodes, wts, prm.p) for i in active]))
+    with pytest.raises(QuadratureError) as err:
+        estimate_sobolev_seminorm(dec)
+    assert err.value.worst_cube == int(active[np.argmax(np.abs(parts[1] - parts[0]))])
+    totals = [float(q.sum() ** (1.0 / prm.p)) for q in parts]
+    assert err.value.change == abs(totals[1] - totals[0]) / max(totals[1], 1e-300)
+
+
+def test_discrete_surrogate_matches_loop_reference():
+    grid = heavy_grid(6)
+    decs = [_clustered_1d()[-1], _heavy_grid_2d()[-1]]
+    decs.append(decompose(grid, np.random.default_rng(0).normal(size=grid.m), 3.0)[-1])
+    decs += [decompose(inst.mu, inst.f, inst.p)[-1] for inst in suite_1d()[:30]]
+    for dec in decs:
+        value = estimate_sobolev_seminorm(dec, method="discrete")
+        assert np.float64(value).tobytes() == np.float64(_loop_discrete_surrogate(dec)).tobytes()
 
 
 def test_seminorm_logs_one_info_line(caplog):

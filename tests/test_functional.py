@@ -292,6 +292,16 @@ def test_k_curve_2d_has_no_oracle_column():
         assert pt.lower >= 0 and pt.upper >= 0
 
 
+def test_k_curve_boundary_sample_a_rounding_outside_a_hole():
+    # a boundary sample of the working box lies 2.2e-16 beyond the face the
+    # box shares with its only hole; it raised "neither covered, outside, nor in a hole"
+    inst = suite_2d(1)[0]
+    (pt,) = k_curve(inst.mu, inst.f, inst.p, t_grid=[7.196856730011514])
+    assert pt.oracle is None
+    assert np.isfinite(pt.lower) and np.isfinite(pt.upper)
+    assert 0 <= pt.lower <= pt.upper
+
+
 def test_default_t_grid_spans_knee():
     mu = two_atom()
     grid = default_t_grid(mu, np.array([0.0, 1.0]), 2.0)

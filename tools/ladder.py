@@ -9,14 +9,15 @@ measure of m atoms with p = 2 that the benchmark's large1d workload makes
 (seed 0, its first input).  For each m in ATOMS_2D, m atoms uniform on
 [0, 1]^2 with weights 2^U(-2, 2) and p = 3 (seed 0).  On each it runs the
 stages one after the other: ``build_net``, ``build_whitney``, ``assign_anchors``,
-``partition_lacunae``, ``build_reference_family`` and ``build_extension``
-(of seeded normal values in 2d, of the workload's values in 1d).
+``partition_lacunae``, ``build_reference_family``, ``build_extension``
+(of seeded normal values in 2d, of the workload's values in 1d) and
+``estimate_sobolev_seminorm`` of that extension.
 Each stage is run twice on the same input: once untraced for its wall time
 and once under ``tracemalloc`` for its peak of Python-allocated memory
 (numpy buffers included).  The JSON written holds, per rung, those two
 figures per stage and the counts that set the work: atoms, net points,
-cover cubes, holes, adjacency edges, lacunae, family members, pool cubes
-and weighted pairs.
+cover cubes, holes, adjacency edges, lacunae, family members, pool cubes,
+weighted pairs and the cubes the seminorm quadrature integrates.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from sumspace.concentration import Params, build_net
-from sumspace.decompose import build_extension
+from sumspace.decompose import _active_cubes, build_extension, estimate_sobolev_seminorm
 from sumspace.functional import build_reference_family
 from sumspace.instances import heavy_grid
 from sumspace.lacunae import partition_lacunae
@@ -72,7 +73,8 @@ def rung(mu, f, p: float) -> dict:
     lacs, stages["partition_lacunae"] = measure(lambda: partition_lacunae(cover, net))
     ref, stages["build_reference_family"] = measure(lambda: build_reference_family(mu, net, cover, lacs, prm))
     pou = PartitionOfUnity(cover)
-    _, stages["build_extension"] = measure(lambda: build_extension(f, mu, net, cover, pou, prm))
+    dec, stages["build_extension"] = measure(lambda: build_extension(f, mu, net, cover, pou, prm))
+    _, stages["estimate_sobolev_seminorm"] = measure(lambda: estimate_sobolev_seminorm(dec))
     return {
         "atoms": mu.m,
         "p": prm.p,
@@ -88,6 +90,7 @@ def rung(mu, f, p: float) -> dict:
             "pool": len(ref.assignment.pool),
             "pool_multiplicity": ref.pool_multiplicity,
             "pairs": len(ref.pairs),
+            "active_cubes": int(_active_cubes(dec).size),
         },
     }
 
