@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Cube, as_point
+from .geometry import Cube, _greedy_pass, as_point, near_pairs
 from .measure import AtomicMeasure
 
 __all__ = [
@@ -319,6 +319,29 @@ def _greedy_layer_net(cand: np.ndarray, radii: np.ndarray, eps: float):
     return C[keep], R[keep]
 
 
+def _prune(P: np.ndarray, R: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Mask of the layer-j points with no finer-layer point at ``|e - e'| + R' + R <= 14 2^-j``;
+    one join of the cubes ``Q(e, 14 2^-j - R)`` with the points finds those."""
+    eps = 14.0 * 2.0 ** -L
+    c, f = near_pairs(P, eps - R, P, np.zeros(R.shape[0]))
+    close = (L[f] > L[c]) & (
+        (np.max(np.abs(P[f] - P[c]), axis=1) + R[f]) + R[c] <= eps[c]
+    )
+    kept = np.ones(R.shape[0], dtype=bool)
+    kept[c[close]] = False
+    return kept
+
+
+def _separate(P: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Indices, in visiting order (by radius, then lexicographic), of the points a greedy pass
+    keeps unless ``6 (R + R') > |e - e'|`` for a kept ``e'``; the cubes ``Q(e, 6 R)`` meet then."""
+    order = np.lexsort((*P.T[::-1], R))
+    P, R = P[order], R[order]
+    i, k = near_pairs(P, 6.0 * R)
+    clash = (k < i) & (6.0 * (R[i] + R[k]) > np.max(np.abs(P[i] - P[k]), axis=1))
+    return order[_greedy_pass(R.shape[0], i[clash], k[clash])]
+
+
 @dataclass
 class _BuildStats:
     j_min: int
@@ -344,8 +367,8 @@ def _build_once(mu: AtomicMeasure, params: Params, box: Cube, theta: float):
     j_max = _layer_of(r_floor)
     n_cand = RF.size
 
-    layer_pts: dict[int, np.ndarray] = {}
-    layer_R: dict[int, np.ndarray] = {}
+    # the kept points of every layer, coarse to fine
+    layer_pts, layer_R, layer_j = [], [], []
     for j in range(j_min, j_max + 1):
         h = theta * 2.0 ** (-j)
         cand = np.concatenate([_layer_candidate_grid(mu, box, j, h), fixed_pts], axis=0)
@@ -362,53 +385,21 @@ def _build_once(mu: AtomicMeasure, params: Params, box: Cube, theta: float):
         if mask.any():
             eps = 14.0 * 2.0 ** (-j)
             bp, br = _greedy_layer_net(cand[mask], R[mask], eps)
-            if bp.shape[0]:
-                layer_pts[j] = bp
-                layer_R[j] = br
+            layer_pts.append(bp)
+            layer_R.append(br)
+            layer_j.append(np.full(br.shape[0], j))
 
-    js = sorted(layer_pts)
-    # prune: drop a layer-j point when a finer-layer point is eps_j-close in rho_R
-    pruned_pts, pruned_R, pruned_layer = [], [], []
-    for j in js:
-        eps = 14.0 * 2.0 ** (-j)
-        finer_pts = [layer_pts[i] for i in js if i > j]
-        if finer_pts:
-            FP = np.concatenate(finer_pts, axis=0)
-            FR = np.concatenate([layer_R[i] for i in js if i > j])
-        else:
-            FP = None
-        for x, r in zip(layer_pts[j], layer_R[j]):
-            if FP is not None:
-                rho = np.max(np.abs(FP - x), axis=1) + FR + r
-                if np.min(rho) <= eps:
-                    continue
-            pruned_pts.append(x)
-            pruned_R.append(r)
-            pruned_layer.append(j)
-    if not pruned_pts:
+    if not layer_pts:
         raise RuntimeError("net construction produced no points")
-    P = np.array(pruned_pts)
-    R = np.array(pruned_R)
-    L = np.array(pruned_layer, dtype=int)
-
-    # exact separation filter: 6 (R1 + R2) <= |e1 - e2|, finest first
-    order = np.lexsort((*P.T[::-1], R))
-    keep: list[int] = []
-    for i in order:
-        ok = True
-        for k in keep:
-            if 6.0 * (R[i] + R[k]) > np.max(np.abs(P[i] - P[k])):
-                ok = False
-                break
-        if ok:
-            keep.append(i)
-    keep = np.array(keep, dtype=int)
-    P, R, L = P[keep], R[keep], L[keep]
+    P, R, L = np.concatenate(layer_pts), np.concatenate(layer_R), np.concatenate(layer_j)
+    kept = _prune(P, R, L)
+    stats = _BuildStats(j_min, j_max, n_cand, widened, R.shape[0], int(kept.sum()))
+    P, R, L = P[kept], R[kept], L[kept]
+    sep = _separate(P, R)
+    P, R, L = P[sep], R[sep], L[sep]
 
     delta = (2.0 + 86.0 * theta) / 83.0
-    net = ConcentrationNet(P, R, L, box, delta, theta, params)
-    kept = sum(pts.shape[0] for pts in layer_pts.values())
-    return net, _BuildStats(j_min, j_max, n_cand, widened, kept, len(pruned_pts))
+    return ConcentrationNet(P, R, L, box, delta, theta, params), stats
 
 
 def _verification_points(mu: AtomicMeasure, box: Cube, per_axis: int = 9) -> np.ndarray:

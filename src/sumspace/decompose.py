@@ -26,7 +26,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .concentration import ConcentrationNet, Params
 from .geometry import Cube, segment_reduce
-from .measure import AtomicMeasure, lp_norm
+from .measure import AtomicMeasure, _values_of, lp_norm
 from .whitney import PartitionOfUnity, PartitionValues, WhitneyCover
 
 __all__ = [
@@ -187,7 +187,7 @@ def build_extension(
     measures the extension genuinely tends to per-direction limits, so the
     strict check is opt-in.
     """
-    values = np.asarray(getattr(f, "values", f), dtype=float).ravel()
+    values = _values_of(f)
     if values.shape[0] != mu.m:
         raise ValueError("function values must align with the atoms")
     if cover.anchors is None:

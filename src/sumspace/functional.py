@@ -34,7 +34,7 @@ from .concentration import ConcentrationNet, Params, build_net
 from .decompose import build_extension, estimate_sobolev_seminorm, mu_norm_f2
 from .geometry import CubeFamily, greedy_disjoint, near_pairs, segment_reduce
 from .lacunae import Lacuna, partition_lacunae
-from .measure import AtomicMeasure, lp_norm
+from .measure import AtomicMeasure, _values_of, lp_norm
 from .whitney import PartitionOfUnity, WhitneyCover, assign_anchors, build_whitney
 
 __all__ = [
@@ -338,6 +338,11 @@ def admissible_sums(fa: FamilyAssignment, mu: AtomicMeasure, values: np.ndarray,
     return out
 
 
+def _default_gamma() -> float:
+    """``Params.gamma_value`` at the default ``tau``: ``2^8 tau^2``, whatever ``p``."""
+    return Params(p=2.0).gamma_value
+
+
 def eval_family_functional(
     fa: FamilyAssignment,
     variant: Variant,
@@ -350,11 +355,11 @@ def eval_family_functional(
 ) -> float:
     """Exact value of the oscillation sum for the given variant; one atom query
     over the pool serves the mass conditions and the oscillations."""
-    values = np.asarray(getattr(f, "values", f), dtype=float).ravel()
+    values = _values_of(f)
     if values.shape[0] != mu.m:
         raise ValueError("function values must align with the atoms")
     if gamma is None:
-        gamma = Params(p=max(p, 1.0 + 1e-9)).gamma_value
+        gamma = _default_gamma()
     atoms = _CubeAtoms(mu, fa.pool_cubes)
     if validate:
         _validate(fa, variant, mu.n, p, gamma, mass_mode, atoms)
@@ -396,7 +401,7 @@ class ReferenceFamily:
 
 def eval_weighted_pairs(ref: ReferenceFamily, mu: AtomicMeasure, f, p: float) -> float:
     """Value of the weighted linear combination of set-pair oscillations, added in pair order."""
-    values = np.asarray(getattr(f, "values", f), dtype=float).ravel()
+    values = _values_of(f)
     keys = np.unique(np.concatenate([k for q in ref.pairs for k in (q.G, q.H)]))
     atoms = _CubeAtoms(mu, ref.cubes.subset(keys))
     G = [np.searchsorted(keys, q.G) for q in ref.pairs]
@@ -550,9 +555,7 @@ def _shrink_to_disjoint(centers: np.ndarray, halves: np.ndarray) -> CubeFamily |
     """The cubes, shrunk by a relative 1e-12 while they touch, so closed disjointness holds."""
     for _ in range(3):
         fam = CubeFamily.from_arrays(centers, halves)
-        inter = fam.intersection_matrix()
-        np.fill_diagonal(inter, False)
-        if not inter.any():
+        if fam.pairwise_disjoint():
             return fam
         halves = halves * (1 - 1e-12)
     return None
@@ -659,8 +662,8 @@ def search_lower_bound(
     monotone in the budget for a fixed seed.
     """
     if gamma is None:
-        gamma = Params(p=max(p, 1.0 + 1e-9)).gamma_value
-    values = np.asarray(getattr(f, "values", f), dtype=float).ravel()
+        gamma = _default_gamma()
+    values = _values_of(f)
     move_rng = np.random.default_rng(seed + 0x5EED)
     best_val = 0.0
     best_fa = None
@@ -754,7 +757,7 @@ def k_curve(
     """
     if params is None:
         params = Params(p=p)
-    values = np.asarray(getattr(f, "values", f), dtype=float).ravel()
+    values = _values_of(f)
     if t_grid is None:
         t_grid = default_t_grid(mu, values, p)
     oracle_prob = None

@@ -26,6 +26,7 @@ __all__ = [
     "dist_cube_point",
     "dist_cube_set",
     "near_pairs",
+    "meeting_pairs",
     "greedy_disjoint",
     "segment_reduce",
     "select_min_disjoint",
@@ -274,25 +275,35 @@ def near_pairs(ca, ha, cb=None, hb=None) -> tuple[np.ndarray, np.ndarray]:
     return I[order], J[order]
 
 
-def greedy_disjoint(centers, halves) -> np.ndarray:
-    """Mask of the closed cubes a greedy pass in index order keeps.
-
-    A cube is kept unless it meets an earlier kept cube.  The meeting pairs
-    come from ``near_pairs``; the pass visits only cubes that meet an
-    earlier one, in index order, so every earlier verdict is final.
-    """
-    later, earlier = near_pairs(centers, halves)
-    meet = (earlier < later) & np.all(
-        np.abs(centers[later] - centers[earlier]) <= (halves[later] + halves[earlier])[:, None],
-        axis=1,
+def meeting_pairs(centers, halves) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``(i, j)``, ``i != j``, of meeting closed cubes, sorted by ``i`` then ``j``."""
+    i, j = near_pairs(centers, halves)
+    meet = (i != j) & np.all(
+        np.abs(centers[i] - centers[j]) <= (halves[i] + halves[j])[:, None], axis=1
     )
-    later, earlier = later[meet], earlier[meet]
-    keep = np.ones(halves.shape[0], dtype=bool)
+    return i[meet], j[meet]
+
+
+def _greedy_pass(k: int, later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """Mask of the ``k`` items a sequential pass keeps unless they clash with an earlier kept one.
+
+    ``(later, earlier)`` are the clashing pairs, ``earlier < later``, sorted by
+    ``later``; the pass visits only the items in ``later``, in order, so every
+    verdict it reads is final.
+    """
+    keep = np.ones(k, dtype=bool)
     heads, first = np.unique(later, return_index=True)
     bounds = first.tolist() + [later.shape[0]]
     for j, a, b in zip(heads.tolist(), bounds[:-1], bounds[1:]):
         keep[j] = not keep[earlier[a:b]].any()
     return keep
+
+
+def greedy_disjoint(centers, halves) -> np.ndarray:
+    """Mask of the closed cubes a greedy pass in index order keeps: those meeting no earlier kept cube."""
+    later, earlier = meeting_pairs(centers, halves)
+    first = earlier < later
+    return _greedy_pass(halves.shape[0], later[first], earlier[first])
 
 
 def segment_reduce(counts, fn, *entries) -> np.ndarray:
@@ -374,16 +385,8 @@ class CubeFamily:
         """The cubes at positions ``rows``, in that order, with their ids."""
         return CubeFamily.from_arrays(self.centers[rows], self.halves[rows], self.ids[rows])
 
-    def intersection_matrix(self) -> np.ndarray:
-        """Boolean matrix of pairwise closed-cube intersections (diagonal True)."""
-        c, h = self.centers, self.halves
-        gaps = np.abs(c[:, None, :] - c[None, :, :]) - (h[:, None] + h[None, :])[..., None]
-        return np.all(gaps <= 0.0, axis=2)
-
     def pairwise_disjoint(self) -> bool:
-        m = self.intersection_matrix()
-        np.fill_diagonal(m, False)
-        return not m.any()
+        return not meeting_pairs(self.centers, self.halves)[0].size
 
 
 def select_min_disjoint(fam: CubeFamily) -> CubeFamily:
@@ -394,15 +397,8 @@ def select_min_disjoint(fam: CubeFamily) -> CubeFamily:
     closed sets, and every input cube intersects an output cube of no larger
     diameter.
     """
-    inter = fam.intersection_matrix()
-    alive = np.ones(len(fam), dtype=bool)
-    chosen: list[int] = []
-    for i in np.lexsort((fam.ids, fam.halves)):  # half_side ascending, then id
-        if not alive[i]:
-            continue
-        chosen.append(i)
-        alive &= ~inter[i]
-    return fam.subset(np.array(chosen, dtype=np.intp))
+    order = np.lexsort((fam.ids, fam.halves))  # half_side ascending, then id
+    return fam.subset(order[greedy_disjoint(fam.centers[order], fam.halves[order])])
 
 
 def color_disjoint(fam: CubeFamily, max_degree: int) -> list[CubeFamily]:
@@ -415,18 +411,18 @@ def color_disjoint(fam: CubeFamily, max_degree: int) -> list[CubeFamily]:
     k = len(fam)
     if k == 0:
         return []
-    inter = fam.intersection_matrix()
-    np.fill_diagonal(inter, False)
-    degrees = inter.sum(axis=1)
+    i, j = meeting_pairs(fam.centers, fam.halves)
+    degrees = np.bincount(i, minlength=k)
     worst = int(np.argmax(degrees))
     if degrees[worst] > max_degree:
         raise DegreeBoundError(int(fam.ids[worst]), int(degrees[worst]), max_degree)
-    order = np.argsort(fam.ids)
+    ends = np.cumsum(degrees)
     color = np.full(k, -1, dtype=int)
-    for i in order:
-        used = {int(color[j]) for j in np.nonzero(inter[i])[0] if color[j] >= 0}
+    for a in np.argsort(fam.ids):
+        nb = color[j[ends[a] - degrees[a] : ends[a]]]
+        used = set(nb[nb >= 0].tolist())
         c = 0
         while c in used:
             c += 1
-        color[i] = c
+        color[a] = c
     return [fam.subset(np.nonzero(color == c)[0]) for c in range(int(color.max()) + 1)]

@@ -46,6 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg, optimize
 
+from .measure import _values_of
+
 __all__ = ["OracleProblem", "sigma_norm_exact", "k_exact", "OracleConvergenceError"]
 
 P_MAX = 8.0
@@ -108,7 +110,7 @@ class OracleProblem:
     def from_measure(cls, mu, f, p: float, t: float = 1.0) -> "OracleProblem":
         if mu.n != 1:
             raise ValueError("the exact oracle is one-dimensional")
-        values = np.asarray(getattr(f, "values", f), dtype=float).ravel()
+        values = _values_of(f)
         return cls(mu.positions[:, 0], mu.weights, values, p, t)
 
     @property

@@ -17,7 +17,7 @@ from .functional import (
     eval_family_functional,
     search_lower_bound,
 )
-from .geometry import Cube, CubeFamily, color_disjoint, cubes_intersect, select_min_disjoint
+from .geometry import Cube, CubeFamily, color_disjoint, cubes_intersect, meeting_pairs, select_min_disjoint
 from .instances import random_instance
 from .lacunae import contact_graph, partition_lacunae
 from .measure import lp_norm
@@ -72,9 +72,7 @@ def _geometry_checks(rep: _Report, rng: np.random.Generator):
         fam = CubeFamily(
             [Cube(rng.uniform(-8, 8, 1), float(rng.uniform(0.1, 2))) for _ in range(k)]
         )
-        inter = fam.intersection_matrix()
-        np.fill_diagonal(inter, False)
-        deg = int(inter.sum(axis=1).max()) if k else 0
+        deg = int(np.bincount(meeting_pairs(fam.centers, fam.halves)[0], minlength=k).max())
         classes = color_disjoint(fam, deg)
         ok_classes &= len(classes) <= deg + 1
         ok_classes &= all(c.pairwise_disjoint() for c in classes)

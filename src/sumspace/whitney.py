@@ -59,18 +59,30 @@ class PartitionDomainError(ValueError):
 
 @dataclass
 class WhitneyCover:
-    """Selected dyadic cubes with adjacency, anchors and truncation holes."""
+    """Selected dyadic cubes with adjacency, anchors and truncation holes.
+
+    The adjacency is stored once, as directed edges sorted by ``edge_src`` and
+    then ``edge_dst``; ``neighbors[i]`` is the view of the run of ``edge_dst``
+    whose source is ``i``.
+    """
 
     centers: np.ndarray
     halves: np.ndarray
     levels: np.ndarray
     boundary: np.ndarray
-    neighbors: list[np.ndarray]
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
     hole_centers: np.ndarray
     hole_halves: np.ndarray
     hole_net: np.ndarray
     net: ConcentrationNet
     anchors: np.ndarray | None = None
+    neighbors: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._degrees = np.bincount(self.edge_src, minlength=self.size)
+        ends = np.cumsum(self._degrees).tolist()
+        self.neighbors = [self.edge_dst[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
     @property
     def size(self) -> int:
@@ -85,12 +97,11 @@ class WhitneyCover:
 
     @property
     def max_degree(self) -> int:
-        return max((len(nb) for nb in self.neighbors), default=0)
+        return int(self._degrees.max(initial=0))
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Directed adjacency ``(i, j)`` for every ``j`` in ``neighbors[i]``, by ``i`` then ``j``."""
-        src = np.repeat(np.arange(self.size), [len(nb) for nb in self.neighbors])
-        return src, np.concatenate(self.neighbors).astype(np.intp)
+        return self.edge_src, self.edge_dst
 
     def dist_to_net(self, i: int) -> float:
         gaps = np.maximum(
@@ -122,13 +133,6 @@ class WhitneyCover:
         }
 
 
-def _dist_cubes_to_points(C: np.ndarray, H: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Set distance of each cube (C, H) to the nearest point of E."""
-    gaps = np.abs(C[:, None, :] - E[None, :, :]) - H[:, None, None]
-    np.maximum(gaps, 0.0, out=gaps)
-    return np.min(np.max(gaps, axis=2), axis=1)
-
-
 def build_whitney(net: ConcentrationNet) -> WhitneyCover:
     """Dyadic Whitney decomposition of the working box minus the net points."""
     if net.size == 0:
@@ -154,19 +158,20 @@ def build_whitney(net: ConcentrationNet) -> WhitneyCover:
         if level > DEPTH_LIMIT:
             # only unresolved multi-point cubes are fatal; they mean the net
             # packs points below the dyadic resolution
-            counts = [
-                int(np.sum(np.all(np.abs(E - C[i]) <= H[i], axis=1)))
-                for i in range(C.shape[0])
-            ]
-            if any(c >= 2 for c in counts):
+            at, e = near_pairs(C, H, E, np.zeros(net.size))
+            inside = np.all(np.abs(E[e] - C[at]) <= H[at, None], axis=1)
+            if np.any(np.bincount(at[inside]) >= 2):
                 raise DepthLimitError(
                     f"net point density exceeds dyadic depth limit {DEPTH_LIMIT}"
                 )
             raise DepthLimitError(
                 f"dyadic recursion not settled at depth {DEPTH_LIMIT}"
             )
-        D = _dist_cubes_to_points(C, H, E)
-        keep = D >= 2.0 * H
+        # keep Q when dist(Q, E) >= diam Q; a net point closer than that lies in Q(c, 3 H)
+        at, e = near_pairs(C, 3.0 * H, E, np.zeros(net.size))
+        dist = np.max(np.maximum(np.abs(C[at] - E[e]) - H[at, None], 0.0), axis=1)
+        keep = np.ones(C.shape[0], dtype=bool)
+        keep[at[dist < 2.0 * H[at]]] = False
         if np.any(keep):
             sel_c.append(C[keep])
             sel_h.append(H[keep])
@@ -175,15 +180,16 @@ def build_whitney(net: ConcentrationNet) -> WhitneyCover:
         rest_h = H[~keep]
         if rest_c.shape[0] == 0:
             break
-        # inner hole: failing cube contained in Q(e, eta R(e) / 4)
-        M = np.max(np.abs(rest_c[:, None, :] - E[None, :, :]), axis=2)
-        in_hole = M + rest_h[:, None] <= hole_r[None, :]
-        is_hole = np.any(in_hole, axis=1)
+        # inner hole: failing cube contained in Q(e, eta R(e) / 4), owned by
+        # the first such e
+        at, e = near_pairs(rest_c, rest_h, E, hole_r)
+        in_hole = np.max(np.abs(rest_c[at] - E[e]), axis=1) + rest_h[at] <= hole_r[e]
+        owner = _first_hits(at[in_hole], e[in_hole], rest_c.shape[0])
+        is_hole = owner >= 0
         if np.any(is_hole):
-            owner = np.argmax(in_hole[is_hole], axis=1)
             hol_c.append(rest_c[is_hole])
             hol_h.append(rest_h[is_hole])
-            hol_e.append(owner)
+            hol_e.append(owner[is_hole])
         split_c = rest_c[~is_hole]
         split_h = rest_h[~is_hole]
         if split_c.shape[0] == 0:
@@ -217,13 +223,10 @@ def build_whitney(net: ConcentrationNet) -> WhitneyCover:
     rows, cols = rows[rows != cols], cols[rows != cols]
     hsum = (halves[rows] + halves[cols])[:, None]
     touch = np.all(np.abs(centers[rows] - centers[cols]) - hsum <= 1e-9 * hsum, axis=1)
-    cols = cols[touch]
-    ends = np.cumsum(np.bincount(rows[touch], minlength=N)).tolist()
-    neighbors = [cols[a:b] for a, b in zip([0] + ends[:-1], ends)]
     log.info(
         "whitney: %d cubes, %d holes, levels %d..%d, %d adjacency edges, "
         "%d candidate pairs",
-        N, holes_h.shape[0], levels[0], levels[-1], cols.shape[0] // 2, rows.shape[0],
+        N, holes_h.shape[0], levels[0], levels[-1], int(touch.sum()) // 2, rows.shape[0],
     )
 
     on_edge = np.any(
@@ -235,7 +238,8 @@ def build_whitney(net: ConcentrationNet) -> WhitneyCover:
         halves=halves,
         levels=levels,
         boundary=on_edge,
-        neighbors=neighbors,
+        edge_src=rows[touch],
+        edge_dst=cols[touch],
         hole_centers=holes_c,
         hole_halves=holes_h,
         hole_net=holes_e,

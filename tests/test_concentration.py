@@ -15,8 +15,10 @@ from sumspace.concentration import (
     _default_box,
     _greedy_layer_net,
     _layer_candidate_grid,
+    _prune,
     _radii,
     _radius_rows,
+    _separate,
     build_net,
     concentration_radius,
     concentration_radius_batch,
@@ -381,6 +383,60 @@ def test_layer_sweep_matches_scan(n):
         want_p, want_r = _scan_layer_net(cand, radii, eps)
         assert got_p.tobytes() == want_p.tobytes() and got_r.tobytes() == want_r.tobytes()
         assert got_p.shape == want_p.shape
+
+
+def _loop_prune(P, R, L):
+    """Reference: test each point against the concatenated finer layers."""
+    kept = []
+    for x, r, j in zip(P, R, L):
+        eps = 14.0 * 2.0 ** (-j)
+        finer = L > j
+        if finer.any():
+            rho = np.max(np.abs(P[finer] - x), axis=1) + R[finer] + r
+            if np.min(rho) <= eps:
+                kept.append(False)
+                continue
+        kept.append(True)
+    return np.array(kept, dtype=bool)
+
+
+def _loop_separate(P, R):
+    """Reference: test each point, finest first, against every kept point."""
+    order = np.lexsort((*P.T[::-1], R))
+    keep = []
+    for i in order:
+        ok = True
+        for k in keep:
+            if 6.0 * (R[i] + R[k]) > np.max(np.abs(P[i] - P[k])):
+                ok = False
+                break
+        if ok:
+            keep.append(i)
+    return np.array(keep, dtype=int)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_prune_and_separation_match_loops(n):
+    rng = np.random.default_rng(40 + n)
+    pruned = merged = ties = 0
+    for _ in range(60):
+        # layers coarse to fine, tied radii within a layer, points on a dyadic
+        # lattice so that points of one or of different layers coincide and
+        # some sums |e - e'| + R' + R equal 14 2^-j exactly
+        js = np.sort(rng.choice(np.arange(-1, 5), size=int(rng.integers(1, 5)), replace=False))
+        L = np.concatenate([np.full(int(rng.integers(1, 150)), j) for j in js])
+        R = 2.0 ** -L * rng.choice([0.5, 0.75, 1.0], size=L.shape[0])
+        P = np.round(rng.uniform(-8, 8, size=(L.shape[0], n)) * 8) / 8
+        kept = _prune(P, R, L)
+        assert kept.tobytes() == _loop_prune(P, R, L).tobytes()
+        pruned += int((~kept).sum())
+        D = np.max(np.abs(P[:, None, :] - P[None, :, :]), axis=2)
+        ties += int(np.sum((L[None, :] > L[:, None]) & ((D + R[None, :]) + R[:, None] == 14.0 * 2.0 ** -L[:, None])))
+        P, R = P[kept], R[kept]
+        sep = _separate(P, R)
+        assert sep.tobytes() == _loop_separate(P, R).tobytes()
+        merged += int(np.any(np.all(P[sep][:, None] == P[None, :], axis=2).sum(axis=1) > 1))
+    assert pruned > 100 and merged > 10 and ties > 10
 
 
 def test_nets_match_pinned_digest():

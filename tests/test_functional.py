@@ -563,7 +563,8 @@ def _dense_validate_family(fa, variant, mu, p, gamma, mass_mode="unit_sum"):
     fam = fa.family
     if len(fam) == 0:
         return
-    inter = fam.intersection_matrix()
+    c, h = fam.centers, fam.halves
+    inter = np.all(np.abs(c[:, None, :] - c[None, :, :]) <= (h[:, None] + h[None, :])[..., None], axis=2)
     np.fill_diagonal(inter, False)
     if inter.any():
         i = int(np.nonzero(inter.any(axis=1))[0][0])

@@ -14,6 +14,7 @@ from sumspace.geometry import (
     dist_cube_set,
     greedy_disjoint,
     linf_dist,
+    meeting_pairs,
     near_pairs,
     rho_w,
     select_min_disjoint,
@@ -100,6 +101,13 @@ def test_select_min_disjoint_trivia():
     assert len(select_min_disjoint(empty)) == 0
 
 
+def _dense_intersection(fam):
+    """Reference: the boolean matrix of pairwise closed-cube intersections (diagonal True)."""
+    c, h = fam.centers, fam.halves
+    gaps = np.abs(c[:, None, :] - c[None, :, :]) - (h[:, None] + h[None, :])[..., None]
+    return np.all(gaps <= 0.0, axis=2)
+
+
 def _random_family(rng, n, k):
     cubes = []
     for _ in range(k):
@@ -152,7 +160,7 @@ def test_color_disjoint_random(n):
     rng = np.random.default_rng(999 + n)
     for _ in range(150):
         fam = _random_family(rng, n, int(rng.integers(1, 20)))
-        inter = fam.intersection_matrix()
+        inter = _dense_intersection(fam)
         np.fill_diagonal(inter, False)
         max_deg = int(inter.sum(axis=1).max()) if len(fam) else 0
         classes = color_disjoint(fam, max_degree=max_deg)
@@ -235,6 +243,89 @@ def test_greedy_disjoint_matches_loop(n):
         keep = greedy_disjoint(c, h)
         assert np.array_equal(keep, _loop_greedy_disjoint(c, h))
         # a cube kept although it meets an earlier, dropped cube
-        inter = CubeFamily([Cube(x, r) for x, r in zip(c, h)]).intersection_matrix()
+        inter = _dense_intersection(CubeFamily([Cube(x, r) for x, r in zip(c, h)]))
         chains += sum(keep[j] and inter[j, :j].any() for j in range(len(h)))
     assert chains > 0
+
+
+def _dense_pairwise_disjoint(fam):
+    m = _dense_intersection(fam)
+    np.fill_diagonal(m, False)
+    return not m.any()
+
+
+def _dense_select_min_disjoint(fam):
+    """Reference: take the smallest live cube (ties by id), discard all it meets."""
+    inter = _dense_intersection(fam)
+    alive = np.ones(len(fam), dtype=bool)
+    chosen = []
+    for i in np.lexsort((fam.ids, fam.halves)):
+        if not alive[i]:
+            continue
+        chosen.append(i)
+        alive &= ~inter[i]
+    return fam.subset(np.array(chosen, dtype=np.intp))
+
+
+def _dense_color_disjoint(fam, max_degree):
+    """Reference: first-fit in id order over the dense intersection matrix."""
+    k = len(fam)
+    if k == 0:
+        return []
+    inter = _dense_intersection(fam)
+    np.fill_diagonal(inter, False)
+    degrees = inter.sum(axis=1)
+    worst = int(np.argmax(degrees))
+    if degrees[worst] > max_degree:
+        raise DegreeBoundError(int(fam.ids[worst]), int(degrees[worst]), max_degree)
+    color = np.full(k, -1, dtype=int)
+    for i in np.argsort(fam.ids):
+        used = {int(color[j]) for j in np.nonzero(inter[i])[0] if color[j] >= 0}
+        c = 0
+        while c in used:
+            c += 1
+        color[i] = c
+    return [fam.subset(np.nonzero(color == c)[0]) for c in range(int(color.max()) + 1)]
+
+
+def _shared_face_family(rng, n, k):
+    """Cubes on a lattice of step 1/4 with half sides 1/4, 1/2 or 1 and shuffled
+    ids: faces are shared exactly, half sides tie and some cubes coincide."""
+    c = rng.integers(-12, 13, size=(k, n)) / 4.0
+    h = 2.0 ** rng.integers(-2, 1, size=k)
+    return CubeFamily.from_arrays(c, h, ids=rng.permutation(3 * k)[:k])
+
+
+def _same_family(a, b):
+    return all(x.tobytes() == y.tobytes() for x, y in zip(
+        (a.centers, a.halves, a.ids), (b.centers, b.halves, b.ids)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_disjoint_families_match_dense_reference(n):
+    rng = np.random.default_rng(90 + n)
+    touching = raised = 0
+    for _ in range(300):
+        # a large family at times, so that near_pairs joins trees
+        k = int(rng.integers(1, 120 if rng.random() < 0.1 else 25))
+        fam = _shared_face_family(rng, n, k)
+        inter = _dense_intersection(fam)
+        np.fill_diagonal(inter, False)
+        i, j = meeting_pairs(fam.centers, fam.halves)
+        assert np.array_equal(np.stack([i, j]), np.stack(np.nonzero(inter)))
+        gaps = np.abs(fam.centers[:, None, :] - fam.centers[None, :, :])
+        touching += int(np.sum(np.any(gaps == (fam.halves[:, None] + fam.halves[None, :])[..., None], axis=2) & inter))
+        assert _same_family(select_min_disjoint(fam), _dense_select_min_disjoint(fam))
+        part = fam.subset(np.nonzero(rng.random(k) < 0.3)[0])
+        assert part.pairwise_disjoint() == _dense_pairwise_disjoint(part)
+        deg = int(inter.sum(axis=1).max())
+        got, want = color_disjoint(fam, deg), _dense_color_disjoint(fam, deg)
+        assert len(got) == len(want) and all(map(_same_family, got, want))
+        if deg:
+            with pytest.raises(DegreeBoundError) as exc:
+                color_disjoint(fam, deg - 1)
+            with pytest.raises(DegreeBoundError) as ref:
+                _dense_color_disjoint(fam, deg - 1)
+            assert str(exc.value) == str(ref.value)
+            raised += 1
+    assert touching > 100 and raised > 100

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 
 import numpy as np
@@ -7,7 +8,9 @@ from sumspace.concentration import Params, build_net
 from sumspace.geometry import Cube, cubes_intersect
 from sumspace.instances import heavy_grid, suite_1d, suite_2d
 from sumspace.measure import AtomicMeasure
+from sumspace import whitney
 from sumspace.whitney import (
+    DepthLimitError,
     PartitionDomainError,
     PartitionOfUnity,
     assign_anchors,
@@ -317,6 +320,10 @@ def _assert_neighbors_match_dense(cover):
     src, dst = cover.edges()
     assert np.array_equal(src, np.repeat(np.arange(len(want)), [len(w) for w in want]))
     assert np.array_equal(dst, np.concatenate(want))
+    # the edges are stored once: neighbors are views of them
+    assert cover.edges()[1] is dst
+    assert all(np.shares_memory(nb, dst) for nb in cover.neighbors if nb.size)
+    assert cover.max_degree == max(len(w) for w in want)
 
 
 def test_neighbors_match_dense_on_suites():
@@ -332,6 +339,20 @@ def test_neighbors_match_dense_on_heavy_grids(k, n, p):
     # the cover reaches the working box, where no cube lies beyond the edge
     assert cover.boundary.any() and not cover.boundary.all()
     _assert_neighbors_match_dense(cover)
+
+
+def test_covers_match_pinned_digest():
+    # the anchored covers of the acceptance suites and the small heavy grids, bit for bit
+    h = hashlib.sha256()
+    cases = [(inst.mu, inst.p) for inst in suite_1d() + suite_2d()]
+    cases += [(heavy_grid(k), 3.0) for k in (2, 3, 4, 5)]
+    for mu, p in cases:
+        _, _, cover = build_cover(mu, p)
+        for a in (cover.centers, cover.halves, cover.hole_centers, cover.hole_halves):
+            h.update(a.tobytes())
+        for a in (cover.levels, cover.hole_net, cover.anchors, *cover.edges()):
+            h.update(a.astype(np.int64).tobytes())
+    assert h.hexdigest() == "406cfb223da159e7d3f5b031c682a4a824dc383556bdefa444dddb2374bdcf67"
 
 
 def test_build_whitney_logs_one_info_line(caplog):
@@ -368,3 +389,13 @@ def test_candidates_scale_with_cubes_on_a_1d_heavy_grid(caplog):
     assert tested <= 8 * cover.size
     _assert_neighbors_match_dense(cover)
 
+
+
+def test_depth_limit_tells_dense_nets_from_unsettled_ones(monkeypatch):
+    monkeypatch.setattr(whitney, "DEPTH_LIMIT", 1)
+    # at level 2 a cube of the 3x3 grid's cover holds several net points
+    with pytest.raises(DepthLimitError, match="net point density exceeds"):
+        build_whitney(build_net(heavy_grid(3, 2), Params(p=3.0)))
+    # a lone net point never shares a cube
+    with pytest.raises(DepthLimitError, match="not settled"):
+        build_whitney(build_net(AtomicMeasure([[0.0]], [1.0]), Params(p=2.0)))

@@ -10,8 +10,11 @@ measure of m atoms with p = 2 that the benchmark's large1d workload makes
 [0, 1]^2 with weights 2^U(-2, 2) and p = 3 (seed 0).  On each it runs the
 stages one after the other: ``build_net``, ``build_whitney``, ``assign_anchors``,
 ``partition_lacunae``, ``build_reference_family``, ``build_extension``
-(of seeded normal values in 2d, of the workload's values in 1d) and
-``estimate_sobolev_seminorm`` of that extension.
+(of seeded normal values in 2d, of the workload's values in 1d),
+``estimate_sobolev_seminorm`` of that extension and ``search_lower_bound``
+of those values (budget 25, seed 0, with the net and the reference family,
+as the benchmark's estimate runs it); on the 1d rungs also
+``sigma_norm_exact``.
 Each stage is run twice on the same input: once untraced for its wall time
 and once under ``tracemalloc`` for its peak of Python-allocated memory
 (numpy buffers included).  The JSON written holds, per rung, those two
@@ -35,14 +38,15 @@ import numpy as np
 
 from sumspace.concentration import Params, build_net
 from sumspace.decompose import _active_cubes, build_extension, estimate_sobolev_seminorm
-from sumspace.functional import build_reference_family
+from sumspace.functional import Variant, build_reference_family, search_lower_bound
 from sumspace.instances import heavy_grid
 from sumspace.lacunae import partition_lacunae
 from sumspace.measure import AtomicMeasure
+from sumspace.oracle1d import OracleProblem, sigma_norm_exact
 from sumspace.whitney import PartitionOfUnity, assign_anchors, build_whitney
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import WORKLOADS  # noqa: E402  (the benchmark's input generators)
+from workloads import SEARCH_BUDGET, WORKLOADS  # noqa: E402  (the benchmark's input generators)
 
 MIB = 1024.0 * 1024.0
 SIDES = (4, 8, 12)
@@ -75,6 +79,11 @@ def rung(mu, f, p: float) -> dict:
     pou = PartitionOfUnity(cover)
     dec, stages["build_extension"] = measure(lambda: build_extension(f, mu, net, cover, pou, prm))
     _, stages["estimate_sobolev_seminorm"] = measure(lambda: estimate_sobolev_seminorm(dec))
+    _, stages["search_lower_bound"] = measure(lambda: search_lower_bound(
+        mu, f, p, Variant.CR, budget=SEARCH_BUDGET, seed=0, net=net, reference=ref
+    ))
+    if mu.n == 1:
+        _, stages["sigma_norm_exact"] = measure(lambda: sigma_norm_exact(OracleProblem.from_measure(mu, f, p)))
     return {
         "atoms": mu.m,
         "p": prm.p,
