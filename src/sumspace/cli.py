@@ -27,6 +27,7 @@ from .functional import (
     default_t_grid,
     eval_family_functional,
     k_curve,
+    k_curve_slack,
     validate_family,
 )
 from .lacunae import contact_graph, projection_multiplicity
@@ -203,8 +204,6 @@ def cmd_kcurve(args):
         oracle = "" if pt.oracle is None else f"{pt.oracle:.9g}"
         rows.append(f"{pt.t:.9g},{pt.lower:.9g},{pt.upper:.9g},{oracle}")
     csv_text = "\n".join(rows) + "\n"
-    from .functional import k_curve_slack
-
     payload = {
         "points": [
             {

@@ -230,9 +230,6 @@ class ConcentrationNet:
         x = as_point(x)
         return np.max(np.abs(self.points - x), axis=1)
 
-    def nearest(self, x) -> int:
-        return int(np.argmin(self.point_dists(x)))
-
     def to_json_dict(self) -> dict:
         return {
             "points": [
@@ -264,10 +261,9 @@ def _layer_candidate_grid(mu: AtomicMeasure, box: Cube, j: int, h: float) -> np.
     """Lattice points of spacing ``h`` covering {dist(., atoms) <= 2^-j} in the box.
 
     Each atom reaches a box of lattice indices, clipped to the working box.
-    The boxes are enumerated together and keyed row-major, every axis but
-    the first by its rank among the indices it takes, so the keys stay
-    within int64 however far apart the atoms lie; ``np.unique`` of the keys
-    gives the union in lexicographic order.
+    The boxes are enumerated together, and a lexicographic sort of the index
+    rows with repeats dropped gives the union in lexicographic order; no
+    flat key is formed, so nothing overflows however far apart the atoms lie.
     """
     reach = 2.0 ** (-j) + h
     lo = box.lo
@@ -291,12 +287,8 @@ def _layer_candidate_grid(mu: AtomicMeasure, box: Cube, j: int, h: float) -> np.
         idx[:, d] = i0[atom, d] + t % c
         t //= c
     idx[:, 0] = i0[atom, 0] + t
-    # flat keys over the first axis and the ranks of the others
-    axes = [np.unique(idx[:, d], return_inverse=True) for d in range(1, n)]
-    dims = (int(max_idx[0]) + 1, *[vals.shape[0] for vals, _ in axes])
-    keys = np.ravel_multi_index((idx[:, 0], *[rank for _, rank in axes]), dims)
-    flat = np.unravel_index(np.unique(keys), dims)
-    idx = np.stack([flat[0]] + [vals[r] for (vals, _), r in zip(axes, flat[1:])], axis=1)
+    idx = idx[np.lexsort(idx.T[::-1])]
+    idx = idx[np.concatenate([[True], np.any(idx[1:] != idx[:-1], axis=1)])]
     return lo[None, :] + idx.astype(float) * h
 
 
@@ -370,7 +362,8 @@ def _build_once(mu: AtomicMeasure, params: Params, box: Cube, theta: float):
     # the kept points of every layer, coarse to fine
     layer_pts, layer_R, layer_j = [], [], []
     for j in range(j_min, j_max + 1):
-        h = theta * 2.0 ** (-j)
+        # lattice indices over the box stay within int64
+        h = max(theta * 2.0 ** (-j), 2.0 * box.half_side * 2.0**-62)
         cand = np.concatenate([_layer_candidate_grid(mu, box, j, h), fixed_pts], axis=0)
         # the distinct candidates in lexicographic order
         cand = cand[np.lexsort(cand.T[::-1])]
@@ -402,9 +395,9 @@ def _build_once(mu: AtomicMeasure, params: Params, box: Cube, theta: float):
     return ConcentrationNet(P, R, L, box, delta, theta, params), stats
 
 
-def _verification_points(mu: AtomicMeasure, box: Cube, per_axis: int = 9) -> np.ndarray:
+def _verification_points(mu: AtomicMeasure, box: Cube) -> np.ndarray:
     lo, hi = box.lo, box.hi
-    axes = [np.linspace(lo[d], hi[d], per_axis) for d in range(box.dim)]
+    axes = [np.linspace(lo[d], hi[d], 9) for d in range(box.dim)]
     grid = np.array(list(itertools.product(*axes)))
     return np.concatenate([grid, mu.positions, _corners(box)], axis=0)
 

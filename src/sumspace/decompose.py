@@ -86,17 +86,17 @@ class Decomposition:
         }
 
 
-def _boundary_samples(box: Cube, per_edge: int = 7) -> np.ndarray:
+def _boundary_samples(box: Cube) -> np.ndarray:
     n = box.dim
     lo, hi = box.lo, box.hi
     pts = []
     if n == 1:
         pts = [[lo[0]], [hi[0]]]
     else:
-        line = np.linspace(lo[0], hi[0], per_edge)
+        line = np.linspace(lo[0], hi[0], 7)
         for v in (lo[1], hi[1]):
             pts.extend([[x, v] for x in line])
-        line = np.linspace(lo[1], hi[1], per_edge)
+        line = np.linspace(lo[1], hi[1], 7)
         for v in (lo[0], hi[0]):
             pts.extend([[v, y] for y in line])
     return np.asarray(pts, dtype=float)
@@ -248,11 +248,9 @@ def eval_f1(dec: Decomposition, x):
     return float(value[0]), grad[0]
 
 
-def mu_norm_f2(dec: Decomposition, p: float | None = None) -> float:
+def mu_norm_f2(dec: Decomposition) -> float:
     """Exact atomic Lp(mu) norm of the residual part."""
-    if p is None:
-        p = dec.params.p
-    return lp_norm(dec.mu, dec.f2, p)
+    return lp_norm(dec.mu, dec.f2, dec.params.p)
 
 
 def _cell_groups(dec: Decomposition, active: np.ndarray):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .concentration import ConcentrationNet, Params, build_net
 from .decompose import build_extension, estimate_sobolev_seminorm, mu_norm_f2
-from .geometry import CubeFamily, greedy_disjoint, near_pairs, segment_reduce
+from .geometry import CubeFamily, greedy_disjoint, meeting_pairs, near_pairs, segment_reduce
 from .lacunae import Lacuna, partition_lacunae
 from .measure import AtomicMeasure, _values_of, lp_norm
 from .whitney import PartitionOfUnity, WhitneyCover, assign_anchors, build_whitney
@@ -41,9 +41,8 @@ __all__ = [
     "Variant",
     "FamilyAssignment",
     "FamilyValidationError",
-    "admissible_members",
+    "validate_family",
     "admissible_sums",
-    "members_value",
     "eval_family_functional",
     "build_reference_family",
     "ReferenceFamily",
@@ -159,110 +158,6 @@ class _CubeAtoms:
         return out
 
 
-def _conditions(fa: FamilyAssignment, variant: Variant, n: int, p: float,
-                gamma: float, mass_mode: str, atoms: _CubeAtoms) -> list:
-    """The per-member admissibility conditions in checking order.
-
-    ``atoms`` holds the atoms of the pool cubes.  Each condition is a pair:
-    the mask of the members that meet it, and the message for a member
-    ``k`` that does not.
-    """
-    if not gamma > 0:
-        raise ValueError("dilation factor must be positive")
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma}")
-    fam, pool = fa.family, fa.pool_cubes
-    fc, fh = fam.centers, fam.halves
-    pc, ph = pool.centers, pool.halves
-    names = ("Q'", "Q''")
-    jp, jd = J = np.array([fa.prime, fa.dprime], dtype=np.intp)
-    inside = np.all(np.abs(fc - pc[J]) + ph[J][..., None] <= (gamma * fh)[:, None], axis=2)
-    out = [
-        (inside[a], lambda k, name=name: f"{name} escapes gamma*Q with gamma={gamma:g}")
-        for a, name in enumerate(names)
-    ]
-    if variant not in (Variant.V1, Variant.V4, Variant.VTH3, Variant.N11):
-        return out
-    mass = atoms.mass
-    if variant in (Variant.V1, Variant.V4):
-        diam = 2.0 * ph
-        if mass_mode == "unit_sum":
-            s = _powers(diam[jp], p - n) * mass[jp] + _powers(diam[jd], p - n) * mass[jd]
-            out.append((~(s > 1.0 + 1e-12), lambda k: f"unit mass-sum condition violated ({s[k]:g} > 1)"))
-        elif mass_mode == "mass_bound":
-            cap = 2.0 ** (32.0 * p)
-            for name, j in zip(names, J):
-                over = mass[j] > cap * _powers(diam[j], n - p) * (1 + 1e-12)
-                out.append((~over, lambda k, name=name: f"{name} mass bound violated"))
-        else:
-            raise ValueError(f"unknown mass_mode {mass_mode!r}")
-    else:
-        for name, j in zip(names, J):
-            out.append((mass[j] > 0.0, lambda k, name=name: f"{name} has zero mass, not admissible here"))
-    return out
-
-
-def _admissible(fa: FamilyAssignment, variant: Variant, n: int, p: float, gamma: float,
-                mass_mode: str, atoms: _CubeAtoms) -> np.ndarray:
-    if not len(fa.family):
-        return np.ones(0, dtype=bool)
-    conditions = _conditions(fa, variant, n, p, gamma, mass_mode, atoms)
-    return np.logical_and.reduce([meets for meets, _ in conditions])
-
-
-def admissible_members(
-    fa: FamilyAssignment,
-    variant: Variant,
-    mu: AtomicMeasure,
-    p: float,
-    gamma: float,
-    mass_mode: str = "unit_sum",
-) -> np.ndarray:
-    """Per member, whether its pair is admissible alone: Q' and Q'' lie in ``gamma Q``
-    and meet the variant's mass condition (see :func:`validate_family`)."""
-    return _admissible(fa, variant, mu.n, p, gamma, mass_mode, _CubeAtoms(mu, fa.pool_cubes))
-
-
-def _validate(fa: FamilyAssignment, variant: Variant, n: int, p: float, gamma: float,
-              mass_mode: str, atoms: _CubeAtoms) -> None:
-    fam = fa.family
-    if len(fam) == 0:
-        return
-    c, h = fam.centers, fam.halves
-    i, j = near_pairs(c, h)
-    meet = (i != j) & np.all(np.abs(c[i] - c[j]) - (h[i] + h[j])[:, None] <= 0.0, axis=1)
-    if meet.any():
-        raise FamilyValidationError(int(fam.ids[i[meet].min()]), "family cubes are not pairwise disjoint")
-    conditions = _conditions(fa, variant, n, p, gamma, mass_mode, atoms)
-    bad = np.nonzero(~np.logical_and.reduce([meets for meets, _ in conditions]))[0]
-    if bad.size:
-        k = int(bad[0])
-        reason = next(message(k) for meets, message in conditions if not meets[k])
-        raise FamilyValidationError(int(fam.ids[k]), reason)
-
-
-def validate_family(
-    fa: FamilyAssignment,
-    variant: Variant,
-    mu: AtomicMeasure,
-    p: float,
-    gamma: float,
-    mass_mode: str = "unit_sum",
-) -> None:
-    """Check disjointness, gamma-containment and the variant's mass conditions.
-
-    ``mass_mode`` selects the admissibility side condition for V1/V4:
-    ``unit_sum`` demands
-    ``(diam Q')^(p-n) mu(Q') + (diam Q'')^(p-n) mu(Q'') <= 1`` while
-    ``mass_bound`` demands ``mu(Q') <= 2^(32 p) (diam Q')^(n-p)`` (and the
-    same for Q'').  VTH3 and N11 demand ``mu(Q') > 0`` and ``mu(Q'') > 0``.
-    Meeting cubes are found by a ``near_pairs`` lookup; the error names the
-    first member that meets another, or else the first member that fails
-    :func:`admissible_members`, with its first failed condition.
-    """
-    _validate(fa, variant, mu.n, p, gamma, mass_mode, _CubeAtoms(mu, fa.pool_cubes))
-
-
 def _powers(x: np.ndarray, e: float) -> np.ndarray:
     """``x ** e`` elementwise by Python's float power, the rounding of scalar code."""
     return np.array([v**e for v in x.tolist()], dtype=float)
@@ -295,46 +190,133 @@ def _ordered_sum(terms: np.ndarray) -> float:
     return total
 
 
-def _oscillations(fa: FamilyAssignment, atoms: _CubeAtoms, values: np.ndarray, p: float) -> np.ndarray:
-    """Per member, the oscillation between its Q' and Q''."""
-    J = np.array([fa.prime, fa.dprime], dtype=np.intp)
-    return atoms.oscillations(values, p, J[0][:, None], J[1][:, None])
+class _Valuation:
+    """One family's valuation at the dilation ``gamma``.
+
+    The atoms of the pool, the ``(2, k)`` indices of every member's Q' and
+    Q'', and which of them lie in ``gamma Q`` are found once; the
+    admissibility checks and the oscillation sums all read them.
+    """
+
+    def __init__(self, fa: FamilyAssignment, mu: AtomicMeasure, p: float, gamma: float):
+        self.fa, self.n, self.p, self.gamma = fa, mu.n, p, gamma
+        self.atoms = _CubeAtoms(mu, fa.pool_cubes)
+        self.pairs = J = np.array([fa.prime, fa.dprime], dtype=np.intp)
+        fam, pool = fa.family, fa.pool_cubes
+        ph = pool.halves[J]
+        self.inside = np.all(
+            np.abs(fam.centers - pool.centers[J]) + ph[..., None] <= (gamma * fam.halves)[:, None], axis=2
+        )
+
+    def checks(self, variant: Variant, mass_mode: str) -> list:
+        """The per-member admissibility conditions in checking order.
+
+        Each condition is a pair: the mask of the members that meet it, and
+        the message for a member ``k`` that does not.
+        """
+        gamma = self.gamma
+        if not gamma > 0:
+            raise ValueError("dilation factor must be positive")
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma must be finite, got {gamma}")
+        names = ("Q'", "Q''")
+        out = [
+            (self.inside[a], lambda k, name=name: f"{name} escapes gamma*Q with gamma={gamma:g}")
+            for a, name in enumerate(names)
+        ]
+        if variant not in (Variant.V1, Variant.V4, Variant.VTH3, Variant.N11):
+            return out
+        n, p, mass, J = self.n, self.p, self.atoms.mass, self.pairs
+        if variant in (Variant.V1, Variant.V4):
+            diam = 2.0 * self.fa.pool_cubes.halves
+            jp, jd = J
+            if mass_mode == "unit_sum":
+                s = _powers(diam[jp], p - n) * mass[jp] + _powers(diam[jd], p - n) * mass[jd]
+                out.append((~(s > 1.0 + 1e-12), lambda k: f"unit mass-sum condition violated ({s[k]:g} > 1)"))
+            elif mass_mode == "mass_bound":
+                cap = 2.0 ** (32.0 * p)
+                for name, j in zip(names, J):
+                    over = mass[j] > cap * _powers(diam[j], n - p) * (1 + 1e-12)
+                    out.append((~over, lambda k, name=name: f"{name} mass bound violated"))
+            else:
+                raise ValueError(f"unknown mass_mode {mass_mode!r}")
+        else:
+            for name, j in zip(names, J):
+                out.append((mass[j] > 0.0, lambda k, name=name: f"{name} has zero mass, not admissible here"))
+        return out
+
+    def admissible(self, variant: Variant, mass_mode: str = "unit_sum") -> np.ndarray:
+        """Per member, whether its pair is admissible alone: it meets every check."""
+        if not len(self.fa.family):
+            return np.ones(0, dtype=bool)
+        return np.logical_and.reduce([meets for meets, _ in self.checks(variant, mass_mode)])
+
+    def validate(self, variant: Variant, mass_mode: str) -> None:
+        """Raise for the first member that meets another, or else for the first
+        member that is not admissible, with its first failed check."""
+        fam = self.fa.family
+        if not len(fam):
+            return
+        i, _ = meeting_pairs(fam.centers, fam.halves)
+        if i.size:
+            raise FamilyValidationError(int(fam.ids[i[0]]), "family cubes are not pairwise disjoint")
+        checks = self.checks(variant, mass_mode)
+        bad = np.nonzero(~np.logical_and.reduce([meets for meets, _ in checks]))[0]
+        if bad.size:
+            k = int(bad[0])
+            reason = next(message(k) for meets, message in checks if not meets[k])
+            raise FamilyValidationError(int(fam.ids[k]), reason)
+
+    def oscillations(self, values: np.ndarray) -> np.ndarray:
+        """Per member, the oscillation between its Q' and Q''."""
+        return self.atoms.oscillations(values, self.p, self.pairs[0][:, None], self.pairs[1][:, None])
+
+    def weighted_sum(self, variant: Variant, osc: np.ndarray, members) -> float:
+        """Weight times oscillation ``osc`` of the given members, added in their order."""
+        k = np.asarray(members, dtype=np.intp)
+        k = k[osc[k] != 0.0]  # a null Q' or Q'' holds no atom, so its oscillation vanishes
+        jp, jd = self.pairs[:, k]
+        ph, mass = self.fa.pool_cubes.halves, self.atoms.mass
+        dq = 2.0 * self.fa.family.halves[k]
+        w = _variant_weights(variant, self.n, self.p, dq, 2.0 * ph[jp], 2.0 * ph[jd], mass[jp], mass[jd])
+        return _ordered_sum(w * osc[k])
 
 
-def _members_sum(fa: FamilyAssignment, variant: Variant, n: int, p: float, atoms: _CubeAtoms,
-                 osc: np.ndarray, members) -> float:
-    """Weight times oscillation of the given members, added in their order."""
-    k = np.asarray(members, dtype=np.intp)
-    k = k[osc[k] != 0.0]  # a null Q' or Q'' holds no atom, so its oscillation vanishes
-    jp, jd = np.array([fa.prime, fa.dprime], dtype=np.intp)[:, k]
-    ph, mass = fa.pool_cubes.halves, atoms.mass
-    dq = 2.0 * fa.family.halves[k]
-    w = _variant_weights(variant, n, p, dq, 2.0 * ph[jp], 2.0 * ph[jd], mass[jp], mass[jd])
-    return _ordered_sum(w * osc[k])
+def validate_family(
+    fa: FamilyAssignment,
+    variant: Variant,
+    mu: AtomicMeasure,
+    p: float,
+    gamma: float,
+    mass_mode: str = "unit_sum",
+) -> None:
+    """Check disjointness, gamma-containment and the variant's mass conditions.
 
-
-def members_value(
-    fa: FamilyAssignment, variant: Variant, mu: AtomicMeasure, values: np.ndarray, p: float, members
-) -> float:
-    """The oscillation sum over the given members, added in their order, without validation."""
-    atoms = _CubeAtoms(mu, fa.pool_cubes)
-    return _members_sum(fa, variant, mu.n, p, atoms, _oscillations(fa, atoms, values, p), members)
+    ``mass_mode`` selects the admissibility side condition for V1/V4:
+    ``unit_sum`` demands
+    ``(diam Q')^(p-n) mu(Q') + (diam Q'')^(p-n) mu(Q'') <= 1`` while
+    ``mass_bound`` demands ``mu(Q') <= 2^(32 p) (diam Q')^(n-p)`` (and the
+    same for Q'').  VTH3 and N11 demand ``mu(Q') > 0`` and ``mu(Q'') > 0``.
+    Meeting cubes are found by ``meeting_pairs``; the error names the first
+    member that meets another, or else the first member whose pair is not
+    admissible alone, with its first failed condition.
+    """
+    _Valuation(fa, mu, p, gamma).validate(variant, mass_mode)
 
 
 def admissible_sums(fa: FamilyAssignment, mu: AtomicMeasure, values: np.ndarray, p: float,
                     gamma: float) -> dict:
-    """Per variant, the members admissible alone (:func:`admissible_members`, unit mass
-    sum) and the oscillation sum over them in member order (:func:`members_value`).
+    """Per variant, the members admissible alone (unit mass sum; see
+    :func:`validate_family`) and the oscillation sum over them in member order.
 
-    The pool's atoms and masses and the members' oscillations are found once
-    and shared by the variants.
+    One valuation of the family serves every variant.
     """
-    atoms = _CubeAtoms(mu, fa.pool_cubes)
-    osc = _oscillations(fa, atoms, values, p)
+    val = _Valuation(fa, mu, p, gamma)
+    osc = val.oscillations(values)
     out = {}
     for variant in Variant:
-        keep = np.nonzero(_admissible(fa, variant, mu.n, p, gamma, "unit_sum", atoms))[0]
-        out[variant] = keep, _members_sum(fa, variant, mu.n, p, atoms, osc, keep)
+        keep = np.nonzero(val.admissible(variant))[0]
+        out[variant] = keep, val.weighted_sum(variant, osc, keep)
     return out
 
 
@@ -351,20 +333,17 @@ def eval_family_functional(
     p: float,
     gamma: float | None = None,
     mass_mode: str = "unit_sum",
-    validate: bool = True,
 ) -> float:
-    """Exact value of the oscillation sum for the given variant; one atom query
-    over the pool serves the mass conditions and the oscillations."""
+    """Exact value of the oscillation sum for the given variant, after
+    :func:`validate_family`; one atom query over the pool serves both."""
     values = _values_of(f)
     if values.shape[0] != mu.m:
         raise ValueError("function values must align with the atoms")
     if gamma is None:
         gamma = _default_gamma()
-    atoms = _CubeAtoms(mu, fa.pool_cubes)
-    if validate:
-        _validate(fa, variant, mu.n, p, gamma, mass_mode, atoms)
-    osc = _oscillations(fa, atoms, values, p)
-    return _members_sum(fa, variant, mu.n, p, atoms, osc, range(len(fa.family)))
+    val = _Valuation(fa, mu, p, gamma)
+    val.validate(variant, mass_mode)
+    return val.weighted_sum(variant, val.oscillations(values), range(len(fa.family)))
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +533,8 @@ def build_reference_family(
 def _shrink_to_disjoint(centers: np.ndarray, halves: np.ndarray) -> CubeFamily | None:
     """The cubes, shrunk by a relative 1e-12 while they touch, so closed disjointness holds."""
     for _ in range(3):
-        fam = CubeFamily.from_arrays(centers, halves)
-        if fam.pairwise_disjoint():
-            return fam
+        if not meeting_pairs(centers, halves)[0].size:
+            return CubeFamily.from_arrays(centers, halves)
         halves = halves * (1 - 1e-12)
     return None
 
@@ -647,7 +625,6 @@ def search_lower_bound(
     variant: Variant = Variant.CR,
     budget: int = 200,
     seed: int = 0,
-    gamma: float | None = None,
     net: ConcentrationNet | None = None,
     reference: ReferenceFamily | None = None,
     collect: list | None = None,
@@ -661,8 +638,7 @@ def search_lower_bound(
     prefix of the sequence for a larger budget, so the best value is
     monotone in the budget for a fixed seed.
     """
-    if gamma is None:
-        gamma = _default_gamma()
+    gamma = _default_gamma()
     values = _values_of(f)
     move_rng = np.random.default_rng(seed + 0x5EED)
     best_val = 0.0
@@ -746,7 +722,6 @@ def k_curve(
     params: Params | None = None,
     budget: int = 40,
     seed: int = 0,
-    with_oracle: bool = True,
 ) -> list[KCurvePoint]:
     """Two-sided K-functional estimates over a grid of scales.
 
@@ -761,7 +736,7 @@ def k_curve(
     if t_grid is None:
         t_grid = default_t_grid(mu, values, p)
     oracle_prob = None
-    if with_oracle and mu.n == 1:
+    if mu.n == 1:
         from .oracle1d import OracleProblem, k_exact
 
         oracle_prob = OracleProblem.from_measure(mu, values, p)

@@ -24,7 +24,6 @@ __all__ = [
     "lp_norm",
     "load_measure",
     "load_function",
-    "measure_to_json_dict",
 ]
 
 
@@ -32,7 +31,7 @@ class MeasureFormatError(ValueError):
     pass
 
 
-def _merge_duplicates(positions, weights, values, tol):
+def _merge_duplicates(positions, weights, values):
     seen: dict[bytes, int] = {}
     keep_pos, keep_w, keep_v = [], [], []
     merge_map = np.zeros(positions.shape[0], dtype=int)
@@ -41,7 +40,7 @@ def _merge_duplicates(positions, weights, values, tol):
         if key in seen:
             j = seen[key]
             keep_w[j] += weights[i]
-            if values is not None and abs(values[i] - keep_v[j]) > tol:
+            if values is not None and abs(values[i] - keep_v[j]) > 1e-12:
                 raise MeasureFormatError(
                     f"duplicate atom at {positions[i]} carries conflicting values "
                     f"{keep_v[j]} vs {values[i]}"
@@ -93,11 +92,11 @@ class AtomicMeasure:
         self._build_index()
 
     @classmethod
-    def from_atoms(cls, positions, weights, values=None, tol=1e-12):
+    def from_atoms(cls, positions, weights, values=None):
         """Build a measure, merging exactly duplicated positions.
 
         Weights of duplicates are summed; if ``values`` is given, duplicate
-        values must agree within ``tol`` and the merged vector is returned
+        values must agree within ``1e-12`` and the merged vector is returned
         alongside the measure.
         """
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
@@ -105,7 +104,7 @@ class AtomicMeasure:
         vals = None if values is None else np.asarray(values, dtype=float).ravel()
         if vals is not None and vals.shape[0] != positions.shape[0]:
             raise ValueError("values must align with atoms")
-        pos, w, v, merge_map = _merge_duplicates(positions, weights, vals, tol)
+        pos, w, v, merge_map = _merge_duplicates(positions, weights, vals)
         mu = cls(pos, w)
         mu.merge_map = merge_map
         if values is None:
@@ -270,13 +269,3 @@ def load_function(path, mu: AtomicMeasure) -> SampledFunction:
     raise MeasureFormatError(
         f"function file has {values.shape[0]} values for {mu.m} atoms"
     )
-
-
-def measure_to_json_dict(mu: AtomicMeasure) -> dict:
-    return {
-        "n": mu.n,
-        "atoms": [
-            {"x": list(map(float, mu.positions[i])), "w": float(mu.weights[i])}
-            for i in range(mu.m)
-        ],
-    }

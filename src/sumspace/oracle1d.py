@@ -77,7 +77,6 @@ class OracleProblem:
     w: np.ndarray
     f: np.ndarray
     p: float
-    t: float = 1.0
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float).ravel()
@@ -103,15 +102,13 @@ class OracleProblem:
             raise ValueError("weights must be positive")
         if not (1.0 < self.p <= P_MAX):
             raise ValueError(f"p must lie in (1, {P_MAX}], got {self.p}")
-        if not self.t > 0:
-            raise ValueError("t must be positive")
 
     @classmethod
-    def from_measure(cls, mu, f, p: float, t: float = 1.0) -> "OracleProblem":
+    def from_measure(cls, mu, f, p: float) -> "OracleProblem":
         if mu.n != 1:
             raise ValueError("the exact oracle is one-dimensional")
         values = _values_of(f)
-        return cls(mu.positions[:, 0], mu.weights, values, p, t)
+        return cls(mu.positions[:, 0], mu.weights, values, p)
 
     @property
     def m(self) -> int:
@@ -372,16 +369,17 @@ def _minimize(prob: OracleProblem, t_s: float, t_m: float, tol: float):
     return val, v
 
 
-def sigma_norm_exact(prob: OracleProblem, tol: float = 1e-9):
-    """Global minimum of ``S(v) + M(v)`` and its minimizer."""
+def sigma_norm_exact(prob: OracleProblem):
+    """Global minimum of ``S(v) + M(v)`` and its minimizer, certified to
+    ``1e-9 max(1, max|f|)``."""
     scale = float(np.max(np.abs(prob.f))) if prob.m else 0.0
-    val, v = _minimize(prob, t_s=1.0, t_m=1.0, tol=tol * max(scale, 1.0))
+    val, v = _minimize(prob, t_s=1.0, t_m=1.0, tol=1e-9 * max(scale, 1.0))
     return float(val), v
 
 
-def k_exact(prob: OracleProblem, t: float | None = None) -> float:
+def k_exact(prob: OracleProblem, t: float) -> float:
     """The interpolation K-functional ``min_v M(v) + t S(v)``."""
-    tt = prob.t if t is None else float(t)
+    tt = float(t)
     if not tt > 0:
         raise ValueError("t must be positive")
     scale = float(np.max(np.abs(prob.f))) if prob.m else 0.0

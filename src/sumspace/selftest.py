@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .concentration import Params, build_net, covering_violations, verify_concentration
-from .decompose import build_extension, estimate_sobolev_seminorm, eval_f1, mu_norm_f2
+from .decompose import build_extension, estimate_sobolev_seminorm, mu_norm_f2
 from .functional import (
     Variant,
     build_reference_family,

@@ -350,6 +350,18 @@ def test_layer_candidate_grid_far_apart_atoms():
     assert got.shape[0] > 0 and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("weight", [1e12, 1e18, 1e60])
+def test_build_net_extreme_masses(n, weight):
+    # the finest layers' spacing is far below float resolution of the box: the
+    # lattice index ranges overflowed int64 ("invalid dims" from numpy) at 1e18 in 2d
+    mu = AtomicMeasure([[0.0] * n, [1.0] * n], [weight, weight])
+    prm = Params(p=3.0)
+    net = build_net(mu, prm)
+    rep = verify_concentration(net, mu, prm)
+    assert rep.ok, "\n".join(rep.summary_lines())
+
+
 def _scan_layer_net(cand, radii, eps):
     """Reference: the candidate-by-candidate scan against the kept points."""
     order = np.lexsort(cand.T[::-1])

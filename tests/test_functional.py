@@ -13,7 +13,7 @@ from sumspace.functional import (
     ReferenceFamily,
     Variant,
     WeightedPair,
-    admissible_members,
+    _Valuation,
     admissible_sums,
     build_pipeline,
     build_reference_family,
@@ -21,7 +21,6 @@ from sumspace.functional import (
     eval_family_functional,
     eval_weighted_pairs,
     k_curve,
-    members_value,
     search_lower_bound,
     upper_estimate,
     validate_family,
@@ -647,8 +646,11 @@ def test_admissible_members_match_one_by_one():
     the admissible members' values in member order, as one-member families did."""
     for mu, p, fa, gamma in _reference_assignments():
         f = np.random.default_rng(mu.m).normal(size=mu.m)
+        val = _Valuation(fa, mu, p, gamma)
+        osc = val.oscillations(f)
+        sums = admissible_sums(fa, mu, f, p, gamma)
         for variant in Variant:
-            ok = admissible_members(fa, variant, mu, p, gamma)
+            ok = val.admissible(variant)
             alone = [
                 _validation_error(_dense_validate_family, _member(fa, k), variant, mu, p, gamma) is None
                 for k in range(len(fa.family))
@@ -656,7 +658,8 @@ def test_admissible_members_match_one_by_one():
             assert ok.tolist() == alone
             keep = np.nonzero(ok)[0]
             want = sum(eval_family_functional(_member(fa, k), variant, mu, f, p, gamma=gamma) for k in keep)
-            assert members_value(fa, variant, mu, f, p, keep) == want
+            assert val.weighted_sum(variant, osc, keep) == want
+            assert sums[variant][0].tolist() == keep.tolist() and sums[variant][1] == want
 
 
 def test_validate_family_memory_scales_with_members():
@@ -764,11 +767,12 @@ def test_valuations_bit_equal_to_scalar_loops():
         fa, gamma = ref.assignment, ref.gamma_needed * (1 + 1e-9)
         everyone = range(len(fa.family))
         sums = admissible_sums(fa, mu, values, p, gamma)
+        val = _Valuation(fa, mu, p, gamma)
+        osc = val.oscillations(values)
         for variant in Variant:
             want = _bits(_loop_members_value(fa, variant, mu, values, p, everyone))
-            assert _bits(members_value(fa, variant, mu, values, p, everyone)) == want
-            assert _bits(eval_family_functional(fa, variant, mu, values, p, gamma, validate=False)) == want
-            keep = np.nonzero(admissible_members(fa, variant, mu, p, gamma))[0]
+            assert _bits(val.weighted_sum(variant, osc, everyone)) == want
+            keep = np.nonzero(val.admissible(variant))[0]
             assert sums[variant][0].tolist() == keep.tolist()
             assert _bits(sums[variant][1]) == _bits(_loop_members_value(fa, variant, mu, values, p, keep))
         assert _bits(eval_family_functional(fa, Variant.CR, mu, values, p, gamma)) == _bits(

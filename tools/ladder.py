@@ -14,7 +14,9 @@ stages one after the other: ``build_net``, ``build_whitney``, ``assign_anchors``
 ``estimate_sobolev_seminorm`` of that extension and ``search_lower_bound``
 of those values (budget 25, seed 0, with the net and the reference family,
 as the benchmark's estimate runs it); on the 1d rungs also
-``sigma_norm_exact``.
+``sigma_norm_exact`` and ``k_exact`` at the four scales of
+``default_t_grid(k=4)``, one stage for the four calls, as a kcurve1d
+curve runs them.
 Each stage is run twice on the same input: once untraced for its wall time
 and once under ``tracemalloc`` for its peak of Python-allocated memory
 (numpy buffers included).  The JSON written holds, per rung, those two
@@ -38,11 +40,11 @@ import numpy as np
 
 from sumspace.concentration import Params, build_net
 from sumspace.decompose import _active_cubes, build_extension, estimate_sobolev_seminorm
-from sumspace.functional import Variant, build_reference_family, search_lower_bound
+from sumspace.functional import Variant, build_reference_family, default_t_grid, search_lower_bound
 from sumspace.instances import heavy_grid
 from sumspace.lacunae import partition_lacunae
 from sumspace.measure import AtomicMeasure
-from sumspace.oracle1d import OracleProblem, sigma_norm_exact
+from sumspace.oracle1d import OracleProblem, k_exact, sigma_norm_exact
 from sumspace.whitney import PartitionOfUnity, assign_anchors, build_whitney
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -84,6 +86,8 @@ def rung(mu, f, p: float) -> dict:
     ))
     if mu.n == 1:
         _, stages["sigma_norm_exact"] = measure(lambda: sigma_norm_exact(OracleProblem.from_measure(mu, f, p)))
+        prob, grid = OracleProblem.from_measure(mu, f, p), default_t_grid(mu, f, p, k=4)
+        _, stages["k_exact"] = measure(lambda: [k_exact(prob, t) for t in grid])
     return {
         "atoms": mu.m,
         "p": prm.p,
