@@ -21,14 +21,13 @@ from .functional import (
     FamilyAssignment,
     FamilyValidationError,
     Variant,
+    _Valuation,
     admissible_sums,
     build_pipeline,
     build_reference_family,
     default_t_grid,
-    eval_family_functional,
     k_curve,
     k_curve_slack,
-    validate_family,
 )
 from .lacunae import contact_graph, projection_multiplicity
 from .measure import MeasureFormatError, load_function, load_measure
@@ -240,17 +239,16 @@ def cmd_validate_family(args):
         fa = FamilyAssignment.from_json_dict(json.load(fh))
     gamma = args.gamma if args.gamma is not None else prm.gamma_value
     variant = Variant(args.variant)
+    # one valuation of the family serves the check and the value
+    val = _Valuation(fa, mu, args.p, gamma)
     try:
-        validate_family(fa, variant, mu, args.p, gamma)
+        val.validate(variant, "unit_sum")
     except FamilyValidationError as exc:
         _emit(args, {"admissible": False, "reason": str(exc)})
         return EXIT_VERIFY
     payload = {"admissible": True}
     if args.function:
-        f = load_function(args.function, mu)
-        payload["value"] = eval_family_functional(
-            fa, variant, mu, f, args.p, gamma=gamma
-        )
+        payload["value"] = val.value(variant, load_function(args.function, mu).values)
     _emit(args, payload)
     return EXIT_OK
 

@@ -23,10 +23,12 @@ traces two-sided K-functional estimates.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,16 +148,28 @@ class _CubeAtoms:
 
         ``S`` holds the atoms of the cubes ``A[k]`` and ``T`` those of
         ``B[k]`` (index arrays), both ascending; the value is 0 where either
-        is empty.  Each product is taken alone, so it keeps the rounding of
-        one vector-matrix-vector product.
+        is empty.  Each product is taken alone (``_oscillation``), so it keeps
+        the rounding of one vector-matrix-vector product.
         """
         out = np.zeros(len(A))
         for k, (a, b) in enumerate(zip(A, B)):
             s, t = self._union(a), self._union(b)
             if s.size and t.size:
-                diff = np.abs(values[s][:, None] - values[t][None, :]) ** p
-                out[k] = float(self.weights[s] @ diff @ self.weights[t])
+                out[k] = _oscillation(values, self.weights, s, t, p)
         return out
+
+
+def _oscillation(values: np.ndarray, weights: np.ndarray, s: np.ndarray, t: np.ndarray, p: float) -> float:
+    """``w[s] @ |f[s][:, None] - f[t][None, :]|^p @ w[t]`` through one ``|s| x |t|`` matrix.
+
+    The absolute value and the power are taken in place, with the bits of
+    ``np.abs(d) ** p``, and the matrix is freed on return, so a loop of
+    products holds one matrix at a time.
+    """
+    d = values[s][:, None] - values[t][None, :]
+    np.abs(d, out=d)
+    d **= p
+    return float(weights[s] @ d @ weights[t])
 
 
 def _powers(x: np.ndarray, e: float) -> np.ndarray:
@@ -191,21 +205,37 @@ def _ordered_sum(terms: np.ndarray) -> float:
 
 
 class _Valuation:
-    """One family's valuation at the dilation ``gamma``.
+    """The valuation of a family's members, each at its dilation ``gamma``.
 
     The atoms of the pool, the ``(2, k)`` indices of every member's Q' and
     Q'', and which of them lie in ``gamma Q`` are found once; the
-    admissibility checks and the oscillation sums all read them.
+    admissibility checks and the oscillation sums all read them.  The
+    members may come from several candidate families at once (see
+    ``_value_chunk``), each member at its own dilation.
     """
 
     def __init__(self, fa: FamilyAssignment, mu: AtomicMeasure, p: float, gamma: float):
-        self.fa, self.n, self.p, self.gamma = fa, mu.n, p, gamma
-        self.atoms = _CubeAtoms(mu, fa.pool_cubes)
-        self.pairs = J = np.array([fa.prime, fa.dprime], dtype=np.intp)
-        fam, pool = fa.family, fa.pool_cubes
+        pairs = np.array([fa.prime, fa.dprime], dtype=np.intp)
+        self._set(fa.family, fa.pool_cubes, pairs, mu, p, gamma)
+
+    @classmethod
+    def from_arrays(cls, family: CubeFamily, pool: CubeFamily, pairs: np.ndarray, mu: AtomicMeasure,
+                    p: float, gamma) -> "_Valuation":
+        """The members ``family`` with Q' and Q'' the pool cubes ``pairs``; ``gamma`` may be per member."""
+        val = cls.__new__(cls)
+        val._set(family, pool, pairs, mu, p, gamma)
+        return val
+
+    def _set(self, family: CubeFamily, pool: CubeFamily, pairs: np.ndarray, mu: AtomicMeasure, p: float,
+             gamma) -> None:
+        self.family, self.pool_halves, self.n, self.p = family, pool.halves, mu.n, p
+        self.gamma = np.broadcast_to(np.asarray(gamma, dtype=float), family.halves.shape)
+        self.atoms = _CubeAtoms(mu, pool)
+        self.pairs = J = pairs
         ph = pool.halves[J]
         self.inside = np.all(
-            np.abs(fam.centers - pool.centers[J]) + ph[..., None] <= (gamma * fam.halves)[:, None], axis=2
+            np.abs(family.centers - pool.centers[J]) + ph[..., None] <= (self.gamma * family.halves)[:, None],
+            axis=2,
         )
 
     def checks(self, variant: Variant, mass_mode: str) -> list:
@@ -215,20 +245,20 @@ class _Valuation:
         the message for a member ``k`` that does not.
         """
         gamma = self.gamma
-        if not gamma > 0:
+        if not np.all(gamma > 0):
             raise ValueError("dilation factor must be positive")
-        if not math.isfinite(gamma):
-            raise ValueError(f"gamma must be finite, got {gamma}")
+        if not np.all(np.isfinite(gamma)):
+            raise ValueError(f"gamma must be finite, got {gamma[~np.isfinite(gamma)][0]}")
         names = ("Q'", "Q''")
         out = [
-            (self.inside[a], lambda k, name=name: f"{name} escapes gamma*Q with gamma={gamma:g}")
+            (self.inside[a], lambda k, name=name: f"{name} escapes gamma*Q with gamma={gamma[k]:g}")
             for a, name in enumerate(names)
         ]
         if variant not in (Variant.V1, Variant.V4, Variant.VTH3, Variant.N11):
             return out
         n, p, mass, J = self.n, self.p, self.atoms.mass, self.pairs
         if variant in (Variant.V1, Variant.V4):
-            diam = 2.0 * self.fa.pool_cubes.halves
+            diam = 2.0 * self.pool_halves
             jp, jd = J
             if mass_mode == "unit_sum":
                 s = _powers(diam[jp], p - n) * mass[jp] + _powers(diam[jd], p - n) * mass[jd]
@@ -247,14 +277,14 @@ class _Valuation:
 
     def admissible(self, variant: Variant, mass_mode: str = "unit_sum") -> np.ndarray:
         """Per member, whether its pair is admissible alone: it meets every check."""
-        if not len(self.fa.family):
+        if not len(self.family):
             return np.ones(0, dtype=bool)
         return np.logical_and.reduce([meets for meets, _ in self.checks(variant, mass_mode)])
 
     def validate(self, variant: Variant, mass_mode: str) -> None:
         """Raise for the first member that meets another, or else for the first
         member that is not admissible, with its first failed check."""
-        fam = self.fa.family
+        fam = self.family
         if not len(fam):
             return
         i, _ = meeting_pairs(fam.centers, fam.halves)
@@ -267,19 +297,29 @@ class _Valuation:
             reason = next(message(k) for meets, message in checks if not meets[k])
             raise FamilyValidationError(int(fam.ids[k]), reason)
 
-    def oscillations(self, values: np.ndarray) -> np.ndarray:
-        """Per member, the oscillation between its Q' and Q''."""
-        return self.atoms.oscillations(values, self.p, self.pairs[0][:, None], self.pairs[1][:, None])
+    def oscillations(self, values: np.ndarray, members=slice(None)) -> np.ndarray:
+        """Per member (of ``members``, all by default), the oscillation between its Q' and Q''."""
+        jp, jd = self.pairs[:, members]
+        return self.atoms.oscillations(values, self.p, jp[:, None], jd[:, None])
 
-    def weighted_sum(self, variant: Variant, osc: np.ndarray, members) -> float:
-        """Weight times oscillation ``osc`` of the given members, added in their order."""
+    def terms(self, variant: Variant, osc: np.ndarray, members) -> tuple[np.ndarray, np.ndarray]:
+        """The given members whose oscillation ``osc`` is not 0, and their terms
+        weight times oscillation, in their order."""
         k = np.asarray(members, dtype=np.intp)
         k = k[osc[k] != 0.0]  # a null Q' or Q'' holds no atom, so its oscillation vanishes
         jp, jd = self.pairs[:, k]
-        ph, mass = self.fa.pool_cubes.halves, self.atoms.mass
-        dq = 2.0 * self.fa.family.halves[k]
+        ph, mass = self.pool_halves, self.atoms.mass
+        dq = 2.0 * self.family.halves[k]
         w = _variant_weights(variant, self.n, self.p, dq, 2.0 * ph[jp], 2.0 * ph[jd], mass[jp], mass[jd])
-        return _ordered_sum(w * osc[k])
+        return k, w * osc[k]
+
+    def weighted_sum(self, variant: Variant, osc: np.ndarray, members) -> float:
+        """Weight times oscillation ``osc`` of the given members, added in their order."""
+        return _ordered_sum(self.terms(variant, osc, members)[1])
+
+    def value(self, variant: Variant, values: np.ndarray) -> float:
+        """The functional value: the weighted sum over every member."""
+        return self.weighted_sum(variant, self.oscillations(values), range(len(self.family)))
 
 
 def validate_family(
@@ -343,7 +383,7 @@ def eval_family_functional(
         gamma = _default_gamma()
     val = _Valuation(fa, mu, p, gamma)
     val.validate(variant, mass_mode)
-    return val.weighted_sum(variant, val.oscillations(values), range(len(fa.family)))
+    return val.value(variant, values)
 
 
 # ---------------------------------------------------------------------------
@@ -530,49 +570,76 @@ def build_reference_family(
 # lower-bound search
 
 
-def _shrink_to_disjoint(centers: np.ndarray, halves: np.ndarray) -> CubeFamily | None:
-    """The cubes, shrunk by a relative 1e-12 while they touch, so closed disjointness holds."""
+def _shrink_to_disjoint(centers: np.ndarray, halves: np.ndarray) -> np.ndarray | None:
+    """The half sides, shrunk by a relative 1e-12 while the cubes touch (at most
+    twice), so closed disjointness holds; None if they still meet."""
+    i, j = meeting_pairs(centers, halves)
+    # shrinking only lowers the rounded sums h_i + h_j, so no other pair can meet later
+    gap = np.abs(centers[i] - centers[j])
     for _ in range(3):
-        if not meeting_pairs(centers, halves)[0].size:
-            return CubeFamily.from_arrays(centers, halves)
+        if not np.all(gap <= (halves[i] + halves[j])[:, None], axis=1).any():
+            return halves
         halves = halves * (1 - 1e-12)
     return None
 
 
+class _Candidate(NamedTuple):
+    """A candidate of the search as arrays: the family's cubes, each member's
+    Q' and Q'' as indices into ``pool`` (into the family itself when there is
+    no pool), and the dilation it is admissible at, where larger than the
+    default."""
+
+    centers: np.ndarray
+    halves: np.ndarray
+    prime: np.ndarray | list[int]
+    dprime: np.ndarray | list[int]
+    pool: CubeFamily | None = None
+    gamma: float | None = None
+
+    def assignment(self) -> FamilyAssignment:
+        family = CubeFamily.from_arrays(self.centers, self.halves)
+        prime, dprime = np.asarray(self.prime).tolist(), np.asarray(self.dprime).tolist()
+        return FamilyAssignment(family, prime, dprime, self.pool)
+
+
+_FIRST = np.zeros(1, dtype=np.intp)
+
+
 def _candidate_stream(mu: AtomicMeasure, p: float, seed: int, net: ConcentrationNet | None,
                       reference: ReferenceFamily | None):
-    """Deterministic stream of candidate assignments; prefix-stable in budget."""
+    """Deterministic stream of candidates (``_Candidate``); prefix-stable in budget."""
     rng = np.random.default_rng(seed)
     m = mu.m
     pos = mu.positions
 
-    # worked single-cube families around atom-pair midpoints
+    # worked single-cube families around atom-pair midpoints, one atom row
+    # at a time, so that only the pairs of the current row are held
     pair_alphas = (1.2, 1.02, 1.5, 2.0, 3.0, 6.0)
-    for i in range(m):
-        for j in range(i + 1, m):
-            mid = (pos[i] + pos[j]) / 2.0
-            sep = float(np.max(np.abs(pos[i] - pos[j])))
-            if sep == 0.0:
-                continue
+    for i in range(m - 1):
+        mid = (pos[i] + pos[i + 1 :]) / 2.0
+        sep = np.max(np.abs(pos[i] - pos[i + 1 :]), axis=1)
+        for j in np.nonzero(sep != 0.0)[0].tolist():
+            s = float(sep[j])
             for a in pair_alphas:
-                yield FamilyAssignment(CubeFamily.from_arrays(mid[None, :], [a * sep / 2.0]), [0], [0]), None
+                yield _Candidate(mid[j : j + 1], np.array([a * s / 2.0]), _FIRST, _FIRST)
 
     # the family around all atoms at once
     if m >= 1:
         c = mu.bounding_center()
         h = max(mu.bounding_half_width(), 1e-9)
         for a in (1.05, 1.5, 3.0):
-            yield FamilyAssignment(CubeFamily.from_arrays(c[None, :], [a * h]), [0], [0]), None
+            yield _Candidate(c[None, :], np.array([a * h]), _FIRST, _FIRST)
 
     # net cubes paired with themselves
     if net is not None and net.size:
-        yield FamilyAssignment(
-            CubeFamily.from_arrays(net.points, net.radii), list(range(net.size)), list(range(net.size))
-        ), None
+        ids = np.arange(net.size)
+        yield _Candidate(net.points, net.radii, ids, ids)
 
     # the constructed reference family, admissible at its recorded dilation
     if reference is not None:
-        yield reference.assignment, reference.gamma_needed * (1 + 1e-9)
+        fa = reference.assignment
+        yield _Candidate(fa.family.centers, fa.family.halves, fa.prime, fa.dprime, fa.pool,
+                         reference.gamma_needed * (1 + 1e-9))
 
     # random multi-cube families over atom midpoints at dyadic scales
     while True:
@@ -580,22 +647,19 @@ def _candidate_stream(mu: AtomicMeasure, p: float, seed: int, net: Concentration
         centers, halves = [], []
         for _ in range(k):
             i, j = rng.integers(0, m, size=2)
-            base = (pos[i] + pos[j]) / 2.0 + rng.normal(scale=0.1, size=mu.n) * (
-                np.max(np.abs(pos[i] - pos[j])) + 1e-3
-            )
-            sep = float(np.max(np.abs(pos[i] - pos[j]))) + 1e-3
-            centers.append(base)
-            halves.append(sep * 2.0 ** int(rng.integers(-2, 3)) * 0.6)
-        shrunk = _shrink_to_disjoint(np.array(centers), np.array(halves))
+            d = np.abs(pos[i] - pos[j]).max()
+            centers.append((pos[i] + pos[j]) / 2.0 + rng.normal(scale=0.1, size=mu.n) * (d + 1e-3))
+            halves.append((float(d) + 1e-3) * 2.0 ** int(rng.integers(-2, 3)) * 0.6)
+        centers = np.array(centers)
+        shrunk = _shrink_to_disjoint(centers, np.array(halves))
         if shrunk is None:
             continue
-        kk = len(shrunk)
-        prime = [int(rng.integers(0, kk)) for _ in range(kk)]
-        dprime = [int(rng.integers(0, kk)) for _ in range(kk)]
-        yield FamilyAssignment(shrunk, prime, dprime), None
+        prime = [int(rng.integers(0, k)) for _ in range(k)]
+        dprime = [int(rng.integers(0, k)) for _ in range(k)]
+        yield _Candidate(centers, shrunk, prime, dprime)
 
 
-def _local_moves(fa: FamilyAssignment, rng: np.random.Generator):
+def _local_moves(fa: FamilyAssignment, rng: np.random.Generator) -> list[_Candidate]:
     """Mutations of a family: rescaled cubes and reshuffled assignments."""
     out = []
     k = len(fa.family)
@@ -605,17 +669,67 @@ def _local_moves(fa: FamilyAssignment, rng: np.random.Generator):
     for factor in (2.0, 0.5):
         shrunk = _shrink_to_disjoint(c, h * factor)
         if shrunk is not None:
-            out.append(FamilyAssignment(shrunk, list(fa.prime), list(fa.dprime)))
+            out.append(_Candidate(c, shrunk, fa.prime, fa.dprime))
     if k > 1:
         prime = [int(rng.integers(0, k)) for _ in range(k)]
         dprime = [int(rng.integers(0, k)) for _ in range(k)]
-        out.append(FamilyAssignment(fa.family, prime, dprime))
+        out.append(_Candidate(c, h, prime, dprime))
     i = int(rng.integers(0, k))
     factor = float(rng.choice([2.0, 0.5]))
     shrunk = _shrink_to_disjoint(c, h * np.where(np.arange(k) == i, factor, 1.0))
     if shrunk is not None:
-        out.append(FamilyAssignment(shrunk, list(fa.prime), list(fa.dprime)))
+        out.append(_Candidate(c, shrunk, fa.prime, fa.dprime))
     return out
+
+
+def _value_chunk(chunk: list[_Candidate], variant: Variant, mu: AtomicMeasure, values: np.ndarray,
+                 p: float, gamma: float) -> list[float | None]:
+    """Each candidate's functional value, or None where it is not admissible.
+
+    One valuation serves the chunk.  One ``meeting_pairs`` call over every
+    member finds the candidates whose own members meet; the others are
+    valued together by one atom query over their pools, each member at its
+    candidate's dilation, and go through the checks of
+    :func:`validate_family` (unit mass sum).  Each value is the sum of its
+    candidate's terms alone, added in member order, so it keeps the bits of
+    valuing the candidate by itself.
+    """
+    if values.shape[0] != mu.m:
+        raise ValueError("function values must align with the atoms")
+    sizes = np.array([len(c.halves) for c in chunk], dtype=np.intp)
+    owner = np.repeat(np.arange(len(chunk)), sizes)
+    members = CubeFamily.from_arrays(
+        np.concatenate([c.centers for c in chunk]), np.concatenate([c.halves for c in chunk])
+    )
+    i, j = meeting_pairs(members.centers, members.halves)
+    ok = np.ones(len(chunk), dtype=bool)
+    ok[owner[i[owner[i] == owner[j]]]] = False
+
+    # one valuation of the disjoint candidates, Q' and Q'' renumbered into their joint pool
+    rows = np.nonzero(ok[owner])[0]
+    owner = owner[rows]
+    kept = [chunk[c] for c in np.nonzero(ok)[0].tolist()]
+    pools = [(c.centers, c.halves) if c.pool is None else (c.pool.centers, c.pool.halves) for c in kept]
+    start = np.cumsum([0] + [len(h) for _, h in pools]).tolist()
+    pool = CubeFamily.from_arrays(
+        np.concatenate([pc for pc, _ in pools] + [np.zeros((0, mu.n))]),
+        np.concatenate([ph for _, ph in pools] + [np.zeros(0)]),
+    )
+    pairs = np.concatenate(
+        [np.array([c.prime, c.dprime], dtype=np.intp).reshape(2, -1) + at for c, at in zip(kept, start)]
+        + [np.zeros((2, 0), dtype=np.intp)],
+        axis=1,
+    )
+    dilation = np.repeat([gamma if c.gamma is None else max(gamma, c.gamma) for c in kept], sizes[ok])
+    val = _Valuation.from_arrays(members.subset(rows), pool, pairs, mu, p, dilation)
+
+    ok[owner[~val.admissible(variant)]] = False
+    valued = np.nonzero(ok[owner])[0]
+    osc = np.zeros(rows.shape[0])
+    osc[valued] = val.oscillations(values, valued)
+    k, terms = val.terms(variant, osc, valued)
+    per = np.split(terms, np.searchsorted(owner[k], np.arange(1, len(chunk))))
+    return [_ordered_sum(t) if good else None for t, good in zip(per, ok.tolist())]
 
 
 def search_lower_bound(
@@ -637,40 +751,44 @@ def search_lower_bound(
     two and reshuffled assignments).  The sequence up to any budget is a
     prefix of the sequence for a larger budget, so the best value is
     monotone in the budget for a fixed seed.
+
+    Moves are queued after every eighth candidate, so the candidates are
+    valued in chunks of eight (pending moves first, then the stream), one
+    valuation per chunk (``_value_chunk``), and then visited in order.  The
+    stream yields arrays (``_Candidate``); a :class:`FamilyAssignment` is
+    built only for the best family and for the admissible candidates
+    appended to ``collect``, as ``(family, value)`` in stream order.
     """
     gamma = _default_gamma()
     values = _values_of(f)
     move_rng = np.random.default_rng(seed + 0x5EED)
     best_val = 0.0
-    best_fa = None
+    best = best_fa = None
     count = 0
-    pending: list[tuple[FamilyAssignment, float | None]] = []
+    pending: list[_Candidate] = []
     last_mutated = None
     stream = _candidate_stream(mu, p, seed, net, reference)
 
-    def try_candidate(fa, gamma_override):
-        nonlocal best_val, best_fa
-        g = max(gamma, gamma_override) if gamma_override is not None else gamma
-        try:
-            val = eval_family_functional(fa, variant, mu, values, p, gamma=g)
-        except FamilyValidationError:
-            return
-        if collect is not None:
-            collect.append((fa, val))
-        if val > best_val:
-            best_val, best_fa = val, fa
-
     while count < budget:
-        if pending:
-            fa, g_over = pending.pop(0)
-        else:
-            fa, g_over = next(stream)
-        count += 1
-        try_candidate(fa, g_over)
+        size = min(8, budget - count)
+        chunk = pending[:size]
+        del pending[:size]
+        chunk.extend(itertools.islice(stream, size - len(chunk)))
+        count += size
+        for cand, val in zip(chunk, _value_chunk(chunk, variant, mu, values, p, gamma)):
+            if val is None:
+                continue
+            if collect is not None:
+                collect.append((cand.assignment(), val))
+            if val > best_val:
+                best_val, best = val, cand
         # after every eighth evaluation, queue mutations of the current best
-        if count % 8 == 0 and best_fa is not None and best_fa is not last_mutated:
-            pending.extend((m, None) for m in _local_moves(best_fa, move_rng))
-            last_mutated = best_fa
+        # (``last_mutated`` is None until there is a best)
+        if count % 8 == 0 and best is not last_mutated:
+            best_fa, last_mutated = best.assignment(), best
+            pending.extend(_local_moves(best_fa, move_rng))
+    if best is not last_mutated:
+        best_fa = best.assignment()
     return best_val, best_fa
 
 

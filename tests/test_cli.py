@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from sumspace.cli import main
+from sumspace.functional import _Valuation
 from sumspace.geometry import Cube, CubeFamily
 
 TWO_ATOM = {"n": 1, "atoms": [{"x": [0.0], "w": 1.0}, {"x": [1.0], "w": 1.0}]}
@@ -220,3 +221,24 @@ def test_selftest_deterministic_bytes(tmp_path, cli_env):
     assert r1.returncode == 0, r1.stderr.decode()
     assert r1.stdout == r2.stdout
     assert r1.stderr == b"" and b"lacunae: " in r2.stderr
+
+
+def test_validate_family_values_the_family_once(files, capsys, tmp_path, monkeypatch):
+    """``validate-family --function`` builds one valuation for the check and the value."""
+    m, f, _ = files
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"cubes": [{"c": [0.5], "r": 0.6}], "prime": [0], "dprime": [0]}))
+    built = []
+    init = _Valuation.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Valuation, "__init__", counted)
+    argv = ["validate-family", "--measure", m, "--p", "2", "--family", str(fam)]
+    for extra in ([], ["--function", f]):
+        built.clear()
+        code, out, _ = run_cli(argv + extra, capsys)
+        assert code == 0 and json.loads(out)["admissible"] is True
+        assert len(built) == 1

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import logging
 import math
 import tracemalloc
@@ -13,6 +15,8 @@ from sumspace.functional import (
     ReferenceFamily,
     Variant,
     WeightedPair,
+    _candidate_stream,
+    _shrink_to_disjoint,
     _Valuation,
     admissible_sums,
     build_pipeline,
@@ -791,3 +795,194 @@ def test_search_values_bit_equal_to_scalar_loop():
         for fa, val in collect:
             want = _loop_members_value(fa, Variant.CR, inst.mu, inst.f, inst.p, range(len(fa.family)))
             assert _bits(val) == _bits(want)
+
+
+# ---------------------------------------------------------------------------
+# reference implementation: the search valuing its candidates one by one, each
+# built as a FamilyAssignment and valued by its own eval_family_functional
+
+
+def _loop_shrink_to_disjoint(centers, halves):
+    for _ in range(3):
+        fam = CubeFamily.from_arrays(centers, halves)
+        if fam.pairwise_disjoint():
+            return fam
+        halves = halves * (1 - 1e-12)
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_shrink_to_disjoint_matches_loop(n):
+    """The half sides the search keeps, or None, are those of shrinking and testing
+    every pair again, on families whose cubes touch or overlap by a few 1e-12."""
+    rng = np.random.default_rng(n)
+    outcomes = set()
+    for _ in range(400):
+        k = int(rng.integers(2, 5))
+        halves = 2.0 ** rng.uniform(-3, 3, size=k)
+        centers = np.zeros((k, n))
+        for a in range(1, k):
+            # the next cube touches the previous one, exactly or pushed in by up to 3e-12 relative
+            push = 0.0 if rng.random() < 1 / 3 else float(rng.uniform(-1e-12, 3e-12))
+            reach = (halves[a - 1] + halves[a]) * (1 - push)
+            centers[a] = centers[a - 1]
+            centers[a, int(rng.integers(n))] += reach
+        want = _loop_shrink_to_disjoint(centers, halves)
+        got = _shrink_to_disjoint(centers, halves)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tobytes() == want.halves.tobytes()
+        outcomes.add(None if got is None else int(np.sum(got != halves)))
+    assert {None, 0} < outcomes
+
+
+def _loop_candidate_stream(mu, seed, net, reference):
+    rng = np.random.default_rng(seed)
+    m, pos = mu.m, mu.positions
+    for i in range(m):
+        for j in range(i + 1, m):
+            mid = (pos[i] + pos[j]) / 2.0
+            sep = float(np.max(np.abs(pos[i] - pos[j])))
+            if sep == 0.0:
+                continue
+            for a in (1.2, 1.02, 1.5, 2.0, 3.0, 6.0):
+                yield FamilyAssignment(CubeFamily.from_arrays(mid[None, :], [a * sep / 2.0]), [0], [0]), None
+    if m >= 1:
+        c = mu.bounding_center()
+        h = max(mu.bounding_half_width(), 1e-9)
+        for a in (1.05, 1.5, 3.0):
+            yield FamilyAssignment(CubeFamily.from_arrays(c[None, :], [a * h]), [0], [0]), None
+    if net is not None and net.size:
+        ids = list(range(net.size))
+        yield FamilyAssignment(CubeFamily.from_arrays(net.points, net.radii), ids, ids), None
+    if reference is not None:
+        yield reference.assignment, reference.gamma_needed * (1 + 1e-9)
+    while True:
+        k = int(rng.integers(1, 4))
+        centers, halves = [], []
+        for _ in range(k):
+            i, j = rng.integers(0, m, size=2)
+            base = (pos[i] + pos[j]) / 2.0 + rng.normal(scale=0.1, size=mu.n) * (
+                np.max(np.abs(pos[i] - pos[j])) + 1e-3
+            )
+            sep = float(np.max(np.abs(pos[i] - pos[j]))) + 1e-3
+            centers.append(base)
+            halves.append(sep * 2.0 ** int(rng.integers(-2, 3)) * 0.6)
+        shrunk = _loop_shrink_to_disjoint(np.array(centers), np.array(halves))
+        if shrunk is None:
+            continue
+        prime = [int(rng.integers(0, k)) for _ in range(k)]
+        dprime = [int(rng.integers(0, k)) for _ in range(k)]
+        yield FamilyAssignment(shrunk, prime, dprime), None
+
+
+def _loop_local_moves(fa, rng):
+    out = []
+    k = len(fa.family)
+    if k == 0 or fa.pool is not None:
+        return out
+    c, h = fa.family.centers, fa.family.halves
+    for factor in (2.0, 0.5):
+        shrunk = _loop_shrink_to_disjoint(c, h * factor)
+        if shrunk is not None:
+            out.append(FamilyAssignment(shrunk, list(fa.prime), list(fa.dprime)))
+    if k > 1:
+        prime = [int(rng.integers(0, k)) for _ in range(k)]
+        dprime = [int(rng.integers(0, k)) for _ in range(k)]
+        out.append(FamilyAssignment(fa.family, prime, dprime))
+    i = int(rng.integers(0, k))
+    factor = float(rng.choice([2.0, 0.5]))
+    shrunk = _loop_shrink_to_disjoint(c, h * np.where(np.arange(k) == i, factor, 1.0))
+    if shrunk is not None:
+        out.append(FamilyAssignment(shrunk, list(fa.prime), list(fa.dprime)))
+    return out
+
+
+def _loop_search_lower_bound(mu, f, p, variant, budget, seed, net=None, reference=None, collect=None):
+    gamma = Params(p=2.0).gamma_value
+    move_rng = np.random.default_rng(seed + 0x5EED)
+    best_val, best_fa, last_mutated = 0.0, None, None
+    pending = []
+    stream = _loop_candidate_stream(mu, seed, net, reference)
+    for count in range(1, budget + 1):
+        fa, g_over = pending.pop(0) if pending else next(stream)
+        g = max(gamma, g_over) if g_over is not None else gamma
+        try:
+            val = eval_family_functional(fa, variant, mu, f, p, gamma=g)
+        except FamilyValidationError:
+            val = None
+        if val is not None:
+            if collect is not None:
+                collect.append((fa, val))
+            if val > best_val:
+                best_val, best_fa = val, fa
+        if count % 8 == 0 and best_fa is not None and best_fa is not last_mutated:
+            pending.extend((move, None) for move in _loop_local_moves(best_fa, move_rng))
+            last_mutated = best_fa
+    return best_val, best_fa
+
+
+def _family_bits(fa):
+    if fa is None:
+        return None
+    pool = None if fa.pool is None else (fa.pool.centers.tobytes(), fa.pool.halves.tobytes())
+    fam = fa.family
+    arrays = fam.centers.tobytes(), fam.halves.tobytes(), fam.ids.tolist()
+    return arrays, list(fa.prime), list(fa.dprime), pool
+
+
+SEARCH_BUDGETS = (1, 5, 7, 8, 9, 16, 25, 40, 60)
+
+
+def _stretched(ref, by=1000.0):
+    """The reference family with its members shrunk ``by`` times, so that it is
+    admissible only at its own dilation, far above the search's default."""
+    fa = ref.assignment
+    family = CubeFamily.from_arrays(fa.family.centers, fa.family.halves / by)
+    assignment = FamilyAssignment(family, fa.prime, fa.dprime, fa.pool)
+    return dataclasses.replace(ref, assignment=assignment, gamma_needed=ref.gamma_needed * by)
+
+
+@pytest.mark.parametrize("variant", [Variant.CR, Variant.VTH3])
+def test_chunked_search_bit_equal_to_one_by_one(variant):
+    """The chunked search returns the best value, the best family and the whole
+    ``collect`` list of the one-by-one search, bit for bit, at budgets on both
+    sides of the chunk boundary, with and without the net and reference families;
+    the stretched reference family is admissible only at its own dilation."""
+    overridden = 0
+    for inst in suite_1d(30) + suite_2d(10):
+        mu, f, p = inst.mu, inst.f, inst.p
+        prm = Params(p=p)
+        net, cover, _, lacs = build_pipeline(mu, prm)
+        ref = build_reference_family(mu, net, cover, lacs, prm)
+        far = _stretched(ref)
+        for extra in ({}, {"net": net, "reference": ref}, {"reference": far}):
+            for budget in SEARCH_BUDGETS:
+                args = (mu, f, p, variant, budget, inst.seed)
+                got_collect, want_collect = [], []
+                got = search_lower_bound(*args, collect=got_collect, **extra)
+                want = _loop_search_lower_bound(*args, collect=want_collect, **extra)
+                assert _bits(got[0]) == _bits(want[0])
+                assert _family_bits(got[1]) == _family_bits(want[1])
+                assert [(_family_bits(fa), _bits(v)) for fa, v in got_collect] == [
+                    (_family_bits(fa), _bits(v)) for fa, v in want_collect
+                ]
+                if extra.get("reference") is far and far.gamma_needed > Params(p=2.0).gamma_value:
+                    overridden += any(fa.pool is not None for fa, _ in got_collect)
+    # the reference family has members of zero mass, which VTH3 does not admit
+    assert overridden or variant is Variant.VTH3
+
+
+def test_candidate_stream_holds_one_atom_row_at_a_time():
+    """The atom-pair candidates are made one atom row at a time: pulling the first
+    25 on 4096 atoms allocates far less than the 8M pairs would need."""
+    m = 4096
+    mu = AtomicMeasure(np.random.default_rng(0).uniform(0.0, 1.0, size=(m, 1)), np.ones(m))
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(_candidate_stream(mu, 2.0, 0, None, None), 25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(first) == 25
+    assert peak < 2**20
