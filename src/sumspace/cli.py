@@ -321,10 +321,18 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (MeasureFormatError, FileNotFoundError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        _write_notes(exc)
         return EXIT_INPUT
     except RuntimeError as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
+        _write_notes(exc)
         return EXIT_VERIFY
+
+
+def _write_notes(exc: BaseException) -> None:
+    """The notes a stage added to the error (which scale failed), one a line."""
+    for note in getattr(exc, "__notes__", ()):
+        sys.stderr.write(f"{note}\n")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +98,8 @@ class Params:
 # atoms in the first 1d radius window; rows without a trusted crossing retry
 # with twice as many
 _WINDOW = 32
+# rows per radius kernel call; bounds the kernel's (rows x window) arrays
+_ROW_BLOCK = 512
 
 # build_net's working box (the atoms' bounding cube scaled by BOX_SCALE),
 # first lattice spacing and refinements
@@ -164,7 +167,12 @@ def _radius_rows(mu: AtomicMeasure, kappa: float, X: np.ndarray, width: int):
 
 
 def _radii(mu: AtomicMeasure, p: float, X) -> tuple[np.ndarray, int]:
-    """Concentration radii of the rows of ``X`` and the count of widened rows."""
+    """Concentration radii of the rows of ``X`` and the count of widened rows.
+
+    The rows go through the kernel ``_ROW_BLOCK`` at a time.  A row's
+    radius does not depend on the other rows, so the radii are those of one
+    pass, and the kernel's (rows x window) arrays stay within a block.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != mu.n:
         raise ValueError(f"dimension mismatch: points {X.shape[1]}, measure {mu.n}")
@@ -172,16 +180,17 @@ def _radii(mu: AtomicMeasure, p: float, X) -> tuple[np.ndarray, int]:
         raise ValueError(f"p must exceed the dimension: p={p}, n={mu.n}")
     kappa = 1.0 / (p - mu.n)
     R = np.empty(X.shape[0])
-    rows = np.arange(X.shape[0])
-    width = _WINDOW
     widened = 0
-    while rows.size:
-        Rw = _radius_rows(mu, kappa, X[rows], width)
-        done = ~np.isnan(Rw)
-        R[rows[done]] = Rw[done]
-        rows = rows[~done]
-        widened += rows.size
-        width *= 2
+    for start in range(0, X.shape[0], _ROW_BLOCK):
+        rows = np.arange(start, min(start + _ROW_BLOCK, X.shape[0]))
+        width = _WINDOW
+        while rows.size:
+            Rw = _radius_rows(mu, kappa, X[rows], width)
+            done = ~np.isnan(Rw)
+            R[rows[done]] = Rw[done]
+            rows = rows[~done]
+            widened += rows.size
+            width *= 2
     return R, widened
 
 
@@ -217,6 +226,10 @@ class ConcentrationNet:
     delta_grid: float
     theta: float
     params: Params
+    # build_net's work summed over its rounds: lattice rows, rows the radius
+    # screen skipped, rows and calls of the radius kernel, widened rows; and
+    # the rounds
+    stats: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -257,25 +270,26 @@ def _default_box(mu: AtomicMeasure, p: float, inflation: float) -> Cube:
     return Cube(center, half * inflation)
 
 
-def _layer_candidate_grid(mu: AtomicMeasure, box: Cube, j: int, h: float) -> np.ndarray:
-    """Lattice points of spacing ``h`` covering {dist(., atoms) <= 2^-j} in the box.
+def _layer_candidate_grid(A: np.ndarray, box: Cube, j: int, h: float):
+    """Lattice points of spacing ``h`` covering {dist(., A) <= 2^-j} in the box.
 
-    Each atom reaches a box of lattice indices, clipped to the working box.
-    The boxes are enumerated together, and a lexicographic sort of the index
-    rows with repeats dropped gives the union in lexicographic order; no
-    flat key is formed, so nothing overflows however far apart the atoms lie.
+    Each atom of ``A`` reaches a box of lattice indices, clipped to the
+    working box.  The boxes are enumerated together, and a lexicographic
+    sort of the index rows with repeats dropped gives the union in
+    lexicographic order; no flat key is formed, so nothing overflows however
+    far apart the atoms lie.  Returns the points and the pairs ``(row,
+    atom)`` of each point with every atom reaching it, sorted by point.
     """
     reach = 2.0 ** (-j) + h
     lo = box.lo
-    n = mu.n
+    n = A.shape[1]
     max_idx = np.maximum(np.ceil((box.hi - lo) / h).astype(int), 0)
-    A = mu.positions
     i0 = np.maximum(np.floor((A - reach - lo) / h).astype(int), 0)
     i1 = np.minimum(np.ceil((A + reach - lo) / h).astype(int), max_idx)
-    keep = np.all(i1 >= i0, axis=1)
+    keep = np.flatnonzero(np.all(i1 >= i0, axis=1))
     i0, i1 = i0[keep], i1[keep]
-    if not i0.shape[0]:
-        return np.zeros((0, n))
+    if not keep.shape[0]:
+        return np.zeros((0, n)), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
     # entry t of atom a's box, row-major: the last axis varies fastest
     counts = i1 - i0 + 1
     sizes = np.prod(counts, axis=1)
@@ -287,9 +301,64 @@ def _layer_candidate_grid(mu: AtomicMeasure, box: Cube, j: int, h: float) -> np.
         idx[:, d] = i0[atom, d] + t % c
         t //= c
     idx[:, 0] = i0[atom, 0] + t
-    idx = idx[np.lexsort(idx.T[::-1])]
-    idx = idx[np.concatenate([[True], np.any(idx[1:] != idx[:-1], axis=1)])]
-    return lo[None, :] + idx.astype(float) * h
+    order = np.lexsort(idx.T[::-1])
+    idx, atom = idx[order], keep[atom[order]]
+    new = np.concatenate([[True], np.any(idx[1:] != idx[:-1], axis=1)])
+    return lo[None, :] + idx[new].astype(float) * h, np.cumsum(new) - 1, atom
+
+
+def _sorted_bounds(mu: AtomicMeasure, RA: np.ndarray):
+    """Screen bounds of 1d rows over all atoms, from the radii ``RA`` at the atoms.
+
+    Returns a function of the rows giving the distance to the nearest atom
+    and ``max_a R(a) - |x - a| <= R(x) <= min_a R(a) + |x - a|``.  For the
+    atoms left of ``x`` the terms are ``(R(a) + a) - x`` and ``(R(a) - a) + x``,
+    for those right of it ``(R(a) - a) + x`` and ``(R(a) + a) - x``: prefix
+    and suffix extrema over the sorted positions, made once, give every
+    bound of a row from one ``searchsorted``.
+    """
+    s = mu._sorted_x
+    up, dn = RA[mu._order] + s, RA[mu._order] - s
+    lo_left = np.concatenate([[-np.inf], np.maximum.accumulate(up)])
+    lo_right = np.concatenate([np.maximum.accumulate(dn[::-1])[::-1], [-np.inf]])
+    hi_left = np.concatenate([[np.inf], np.minimum.accumulate(dn)])
+    hi_right = np.concatenate([np.minimum.accumulate(up[::-1])[::-1], [np.inf]])
+    xs = np.concatenate([[-np.inf], s, [np.inf]])
+
+    def bounds(X, row, atom):
+        x = X[:, 0]
+        k = np.searchsorted(s, x, side="right")
+        near = np.minimum(x - xs[k], xs[k + 1] - x)
+        lb = np.maximum(lo_left[k] - x, lo_right[k] + x)
+        ub = np.minimum(hi_left[k] + x, hi_right[k] - x)
+        return near, lb, ub
+
+    return bounds
+
+
+def _reach_bounds(A: np.ndarray, RA: np.ndarray):
+    """Screen bounds of lattice rows over the atoms reaching them, from the radii ``RA`` at the atoms.
+
+    Returns a function of the rows and their pairs ``(row, atom)``, sorted
+    by row, giving the distance to the nearest reaching atom and ``max
+    R(a) - |x - a| <= R(x) <= min R(a) + |x - a|`` over the reaching atoms:
+    one distance per pair, which the lattice enumeration has already made.
+    """
+
+    def bounds(X, row, atom):
+        # sup-norm distances one axis at a time, gathered from the columns
+        D = np.abs(X[:, 0][row] - A[:, 0][atom])
+        for d in range(1, A.shape[1]):
+            np.maximum(D, np.abs(X[:, d][row] - A[:, d][atom]), out=D)
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        r = RA[atom]
+        return (
+            np.minimum.reduceat(D, first),
+            np.maximum.reduceat(r - D, first),
+            np.minimum.reduceat(r + D, first),
+        )
+
+    return bounds
 
 
 def _greedy_layer_net(cand: np.ndarray, radii: np.ndarray, eps: float):
@@ -301,12 +370,17 @@ def _greedy_layer_net(cand: np.ndarray, radii: np.ndarray, eps: float):
     """
     order = np.lexsort(cand.T[::-1])
     C, R = cand[order], radii[order]
+    cols = C.T.copy()
     live = np.arange(C.shape[0])
     keep = []
     while live.size:
         k, live = live[0], live[1:]
         keep.append(k)
-        rho = (np.max(np.abs(C[live] - C[k]), axis=1) + R[k]) + R[live]
+        # sup-norm distances one axis at a time
+        D = np.abs(cols[0][live] - cols[0][k])
+        for c in cols[1:]:
+            np.maximum(D, np.abs(c[live] - c[k]), out=D)
+        rho = (D + R[k]) + R[live]
         live = live[~(rho < eps)]
     return C[keep], R[keep]
 
@@ -334,12 +408,56 @@ def _separate(P: np.ndarray, R: np.ndarray) -> np.ndarray:
     return order[_greedy_pass(R.shape[0], i[clash], k[clash])]
 
 
+def _screen_tol(mu: AtomicMeasure, p: float, box: Cube, r: float) -> float:
+    """Slack of the radius screen at radius ``r`` on the box.
+
+    R is 1-Lipschitz, so ``R(a) - |x - a| <= R(x) <= R(a) + |x - a|`` for
+    every atom ``a``; the computed radii and bounds meet it up to rounding.
+    A radius is a prefix mass of up to m atoms raised to ``-kappa`` or a
+    distance, so it is off by at most about ``kappa m`` ulps; the bounds add
+    a few ulps of the coordinates, at most ``scale`` in magnitude, and of
+    ``R(a) <= R(x) + 2 scale``.  The slack is eight times that.
+    """
+    kappa = 1.0 / (p - mu.n)
+    scale = float(np.max(np.abs(box.center))) + box.half_side
+    return 8.0 * np.finfo(float).eps * (kappa * mu.m + 8.0) * (r + scale)
+
+
+def _inside(X: np.ndarray, box: Cube) -> np.ndarray:
+    """Rows within the box, up to a relative 1e-12 of its half side."""
+    D = np.abs(X[:, 0] - box.center[0])
+    for d in range(1, X.shape[1]):
+        np.maximum(D, np.abs(X[:, d] - box.center[d]), out=D)
+    return D <= box.half_side * (1 + 1e-12)
+
+
+def _layer_rows(mu: AtomicMeasure, p: float, box: Cube, RA: np.ndarray, bounds, j: int, h: float):
+    """Layer j's lattice rows the screen keeps, and the count of all its lattice rows.
+
+    The screen drops the rows that would be masked out of the layer, before
+    the kernel sees them: rows outside the box, and rows whose ``bounds``
+    (``_sorted_bounds`` or ``_reach_bounds`` of the atoms' radii ``RA``)
+    put R outside ``(2^-j-1, 2^-j]`` (see ``_screen_tol``).  A row x of the
+    layer also lies within ``R(x) <= 2^-j`` of an atom (the nearest: R is
+    at least its distance), and that atom's radius is at most ``2^(1-j)``:
+    one the layer keeps, whose lattice holds x.  So rows farther than
+    ``2^-j`` from every atom reaching them are dropped too.
+    """
+    lo, hi = 2.0 ** (-j - 1), 2.0 ** (-j)
+    tol = _screen_tol(mu, p, box, hi)
+    # an atom reaches lattice points within 2^-j + 2h; R exceeds 2^-j at all
+    # of them when R(a) does by more than that
+    near = np.flatnonzero(RA - (hi + 2.0 * h) <= hi + tol)
+    X, row, atom = _layer_candidate_grid(mu.positions[near], box, j, h)
+    dist, lb, ub = bounds(X, row, near[atom])
+    keep = _inside(X, box) & (dist <= hi) & (lb - tol <= hi) & (ub + tol > lo)
+    return X[keep], X.shape[0]
+
+
 @dataclass
 class _BuildStats:
     j_min: int
     j_max: int
-    candidates: int
-    widened: int
     kept: int  # points the layer sweeps kept
     pruned: int  # points left after pruning, before the separation filter
 
@@ -357,27 +475,45 @@ def _build_once(mu: AtomicMeasure, params: Params, box: Cube, theta: float):
     r_max = float(np.max(RF)) + box.half_side
     j_min = _layer_of(r_max)
     j_max = _layer_of(r_floor)
-    n_cand = RF.size
+    RF = RF[:-1]
+    RA = RF[: mu.m]
 
-    # the kept points of every layer, coarse to fine
-    layer_pts, layer_R, layer_j = [], [], []
-    for j in range(j_min, j_max + 1):
+    # the screened lattice rows of every layer
+    bounds = _sorted_bounds(mu, RA) if n == 1 else _reach_bounds(mu.positions, RA)
+    layers = range(j_min, j_max + 1)
+    rows, lattice = [], 0
+    for j in layers:
         # lattice indices over the box stay within int64
         h = max(theta * 2.0 ** (-j), 2.0 * box.half_side * 2.0**-62)
-        cand = np.concatenate([_layer_candidate_grid(mu, box, j, h), fixed_pts], axis=0)
-        # the distinct candidates in lexicographic order
-        cand = cand[np.lexsort(cand.T[::-1])]
-        cand = cand[np.concatenate([[True], np.any(cand[1:] != cand[:-1], axis=1)])]
-        R, w = _radii(mu, p, cand)
-        n_cand += R.size
-        widened += w
+        X, count = _layer_rows(mu, p, box, RA, bounds, j, h)
+        rows.append(X)
+        lattice += count
+
+    # the survivors of every layer through the radius kernel in one pass
+    X = np.concatenate(rows)
+    R, w = _radii(mu, p, X)
+    widened += w
+
+    # the kept points of every layer, coarse to fine; the atoms and corners
+    # are candidates of every layer with the radii of the layer-range batch
+    fixed_in = _inside(fixed_pts, box)
+    layer_pts, layer_R, layer_j = [], [], []
+    start = 0
+    for j, Xj in zip(layers, rows):
+        Rj = R[start : start + Xj.shape[0]]
+        start += Xj.shape[0]
         lo, hi = 2.0 ** (-j - 1), 2.0 ** (-j)
-        mask = (R > lo) & (R <= hi)
-        inside = np.max(np.abs(cand - box.center), axis=1) <= box.half_side * (1 + 1e-12)
-        mask &= inside
-        if mask.any():
+        mask = (Rj > lo) & (Rj <= hi)
+        fmask = (RF > lo) & (RF <= hi) & fixed_in
+        if mask.any() or fmask.any():
+            # a point in both sets carries the same radius; the sweep keeps
+            # its first copy and drops the other at distance 0
             eps = 14.0 * 2.0 ** (-j)
-            bp, br = _greedy_layer_net(cand[mask], R[mask], eps)
+            bp, br = _greedy_layer_net(
+                np.concatenate([Xj[mask], fixed_pts[fmask]]),
+                np.concatenate([Rj[mask], RF[fmask]]),
+                eps,
+            )
             layer_pts.append(bp)
             layer_R.append(br)
             layer_j.append(np.full(br.shape[0], j))
@@ -386,13 +522,21 @@ def _build_once(mu: AtomicMeasure, params: Params, box: Cube, theta: float):
         raise RuntimeError("net construction produced no points")
     P, R, L = np.concatenate(layer_pts), np.concatenate(layer_R), np.concatenate(layer_j)
     kept = _prune(P, R, L)
-    stats = _BuildStats(j_min, j_max, n_cand, widened, R.shape[0], int(kept.sum()))
+    stats = _BuildStats(j_min, j_max, R.shape[0], int(kept.sum()))
     P, R, L = P[kept], R[kept], L[kept]
     sep = _separate(P, R)
     P, R, L = P[sep], R[sep], L[sep]
 
     delta = (2.0 + 86.0 * theta) / 83.0
-    return ConcentrationNet(P, R, L, box, delta, theta, params), stats
+    work = {
+        "lattice_rows": lattice,
+        "skipped_rows": lattice - X.shape[0],
+        # the survivors and the layer-range batch
+        "radius_rows": X.shape[0] + RF.size + 1,
+        "kernel_blocks": -(-(RF.size + 1) // _ROW_BLOCK) + -(-X.shape[0] // _ROW_BLOCK),
+        "widened_rows": widened,
+    }
+    return ConcentrationNet(P, R, L, box, delta, theta, params, work), stats
 
 
 def _verification_points(mu: AtomicMeasure, box: Cube) -> np.ndarray:
@@ -427,19 +571,21 @@ def build_net(mu: AtomicMeasure, params: Params) -> ConcentrationNet:
     box = _default_box(mu, params.p, BOX_SCALE)
     th = LATTICE_THETA
     last_violation = None
-    candidates = widened = 0
+    work = Counter()
     for rounds in range(1, REFINEMENTS + 2):
         net, stats = _build_once(mu, params, box, th)
-        candidates += stats.candidates
-        widened += stats.widened
+        work.update(net.stats)
         bad = covering_violations(net, mu, _verification_points(mu, box))
         if not bad:
+            net.stats = {**work, "rounds": rounds}
             log.info(
-                "net: m=%d n=%d p=%g, layers %d..%d, %d candidates, "
-                "%d widened radius rows, layer sweeps kept %d, pruning left %d, "
-                "separation left %d points, %d rounds, theta %g",
-                mu.m, mu.n, params.p, stats.j_min, stats.j_max, candidates,
-                widened, stats.kept, stats.pruned, net.size, rounds, th,
+                "net: m=%d n=%d p=%g, layers %d..%d, %d lattice rows, %d skipped by the "
+                "radius screen, %d radius rows in %d kernel blocks, %d widened radius rows, "
+                "layer sweeps kept %d, pruning left %d, separation left %d points, "
+                "%d rounds, theta %g",
+                mu.m, mu.n, params.p, stats.j_min, stats.j_max, work["lattice_rows"],
+                work["skipped_rows"], work["radius_rows"], work["kernel_blocks"],
+                work["widened_rows"], stats.kept, stats.pruned, net.size, rounds, th,
             )
             return net
         last_violation = max(bad, key=lambda t: t[1])

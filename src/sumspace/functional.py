@@ -862,16 +862,21 @@ def k_curve(
     for t in t_grid:
         if not t > 0:
             raise ValueError("t grid must be positive")
-        mu_t = mu.scaled(t ** (-p))
-        pipeline = build_pipeline(mu_t, params)
-        net = pipeline[0]
-        ref = build_reference_family(mu_t, net, pipeline[1], pipeline[3], params)
-        upper = float(t) * upper_estimate(mu_t, values, params, pipeline)
-        val, _ = search_lower_bound(
-            mu_t, values, p, Variant.CR, budget=budget, seed=seed, net=net, reference=ref
-        )
-        lower = float(t) * val ** (1.0 / p)
-        oracle = None if oracle_prob is None else k_exact(oracle_prob, float(t))
+        try:
+            mu_t = mu.scaled(t ** (-p))
+            pipeline = build_pipeline(mu_t, params)
+            net = pipeline[0]
+            ref = build_reference_family(mu_t, net, pipeline[1], pipeline[3], params)
+            upper = float(t) * upper_estimate(mu_t, values, params, pipeline)
+            val, _ = search_lower_bound(
+                mu_t, values, p, Variant.CR, budget=budget, seed=seed, net=net, reference=ref
+            )
+            lower = float(t) * val ** (1.0 / p)
+            oracle = None if oracle_prob is None else k_exact(oracle_prob, float(t))
+        except Exception as exc:
+            # name the failing scale and instance; the message and type stay as raised
+            exc.add_note(f"k_curve: t={t:.9g}, m={mu.m}, n={mu.n}")
+            raise
         out.append(KCurvePoint(float(t), lower, upper, oracle))
     return out
 

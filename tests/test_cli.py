@@ -124,6 +124,22 @@ def test_kcurve_csv_2d_empty_oracle(capsys, tmp_path):
     assert all(line.endswith(",") for line in lines[1:])
 
 
+def test_kcurve_failure_names_the_scale(capsys, tmp_path):
+    m = tmp_path / "m2.json"
+    f = tmp_path / "f2.json"
+    m.write_text(json.dumps({"n": 2, "atoms": [{"x": [0.0, 0.0], "w": 1.0}, {"x": [1.0, 1.0], "w": 1.0}]}))
+    f.write_text(json.dumps({"values": [0.0, 1.0]}))
+    code, out, err = run_cli(
+        ["kcurve", "--measure", str(m), "--function", str(f), "--p", "3", "--t-grid", "1e-6:1e-3:2"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "verification failure: dyadic recursion not settled at depth 60\n"
+        "k_curve: t=1e-06, m=2, n=2\n"
+    )
+
+
 def test_validate_family(files, capsys, tmp_path):
     m, f, _ = files
     fam = tmp_path / "fam.json"

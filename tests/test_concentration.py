@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sumspace.concentration import (
+    _ROW_BLOCK,
     _WINDOW,
     Params,
     _build_once,
@@ -15,10 +16,15 @@ from sumspace.concentration import (
     _default_box,
     _greedy_layer_net,
     _layer_candidate_grid,
+    _layer_of,
+    _layer_rows,
     _prune,
     _radii,
     _radius_rows,
+    _reach_bounds,
+    _screen_tol,
     _separate,
+    _sorted_bounds,
     build_net,
     concentration_radius,
     concentration_radius_batch,
@@ -315,7 +321,7 @@ def test_layer_candidate_grid_1d_matches_loop():
         for j in range(-4, 8):
             for theta in (0.125, 0.03125):
                 h = theta * 2.0 ** (-j)
-                got = _layer_candidate_grid(mu, box, j, h)
+                got = _layer_candidate_grid(mu.positions, box, j, h)[0]
                 want = _set_lattice(mu, box, j, h)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -333,7 +339,7 @@ def test_layer_candidate_grid_matches_set_lattice_on_every_layer(which):
         _, stats = _build_once(mu, prm, box, theta)
         for j in range(stats.j_min, stats.j_max + 1):
             h = theta * 2.0 ** (-j)
-            got = _layer_candidate_grid(mu, box, j, h)
+            got = _layer_candidate_grid(mu.positions, box, j, h)[0]
             want = _set_lattice(mu, box, j, h)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -345,7 +351,7 @@ def test_layer_candidate_grid_far_apart_atoms():
     j = 20
     h = 0.125 * 2.0 ** (-j)
     assert (2e6 / h) ** 2 > 2.0**63
-    got = _layer_candidate_grid(mu, box, j, h)
+    got = _layer_candidate_grid(mu.positions, box, j, h)[0]
     want = _set_lattice(mu, box, j, h)
     assert got.shape[0] > 0 and got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -463,6 +469,158 @@ def test_nets_match_pinned_digest():
     assert h.hexdigest() == "8aa5a5df98f99c50393731c8f1e7bb219cea8c2c1cc8afae1fcd0f9f75f2746a"
 
 
+def _loop_build_once(mu, params, box, theta):
+    """Reference: every lattice row of every layer through the radius kernel, one call per layer."""
+    p, n = params.p, mu.n
+    kappa = 1.0 / (p - n)
+    fixed_pts = np.concatenate([mu.positions, _corners(box)], axis=0)
+    RF, _ = _radii(mu, p, np.concatenate([fixed_pts, box.center[None, :]], axis=0))
+    j_min = _layer_of(float(np.max(RF)) + box.half_side)
+    j_max = _layer_of(mu.total_mass ** (-kappa))
+    layer_pts, layer_R, layer_j = [], [], []
+    for j in range(j_min, j_max + 1):
+        h = max(theta * 2.0 ** (-j), 2.0 * box.half_side * 2.0**-62)
+        cand = np.concatenate([_layer_candidate_grid(mu.positions, box, j, h)[0], fixed_pts], axis=0)
+        cand = cand[np.lexsort(cand.T[::-1])]
+        cand = cand[np.concatenate([[True], np.any(cand[1:] != cand[:-1], axis=1)])]
+        R, _ = _radii(mu, p, cand)
+        mask = (R > 2.0 ** (-j - 1)) & (R <= 2.0 ** (-j))
+        mask &= np.max(np.abs(cand - box.center), axis=1) <= box.half_side * (1 + 1e-12)
+        if mask.any():
+            bp, br = _greedy_layer_net(cand[mask], R[mask], 14.0 * 2.0 ** (-j))
+            layer_pts.append(bp)
+            layer_R.append(br)
+            layer_j.append(np.full(br.shape[0], j))
+    P, R, L = np.concatenate(layer_pts), np.concatenate(layer_R), np.concatenate(layer_j)
+    kept = _prune(P, R, L)
+    P, R, L = P[kept], R[kept], L[kept]
+    sep = _separate(P, R)
+    return P[sep], R[sep], L[sep], j_min, j_max
+
+
+def _screen_cases():
+    cases = [(f"suite1d-{i.seed}", i.mu, i.p) for i in suite_1d()]
+    cases += [(f"suite2d-{i.seed}", i.mu, i.p) for i in suite_2d()]
+    cases += [(f"grid{k}", heavy_grid(k), 3.0) for k in (2, 3, 4, 5)]
+    # the large1d benchmark input and the 2d uniform ladder rung
+    rng = np.random.default_rng([0, 0])
+    pos, w = rng.uniform(0.0, 1.0, size=(256, 1)), 2.0 ** rng.uniform(-2.0, 2.0, size=256)
+    cases.append(("uniform1d-256", AtomicMeasure.from_atoms(pos, w)[0], 2.0))
+    rng = np.random.default_rng(0)
+    cases.append(("uniform2d-128", AtomicMeasure(rng.uniform(0, 1, size=(128, 2)), 2.0 ** rng.uniform(-2, 2, size=128)), 3.0))
+    for n in (1, 2):
+        cases.append((f"one-atom-{n}d", AtomicMeasure([[0.3] * n], [1.0]), n + 1.0))
+        # coincident atoms, one of them at -0.0
+        pos = [[0.0] * n, [0.0] * n, [1.0] * n, [1.0] * n, [-0.0] * n]
+        cases.append((f"coincident-{n}d", AtomicMeasure(pos, [1.0, 2.0, 3.0, 1.0, 0.5]), n + 0.5))
+        for weight in (1e12, 1e18, 1e36, 1e60):
+            cases.append((f"w{weight:g}-{n}d", AtomicMeasure([[0.0] * n, [1.0] * n], [weight, weight]), 3.0))
+    return cases
+
+
+def test_screened_build_bit_equal_to_loop():
+    # the screen and the blocked kernel pass leave every net of the unscreened build
+    checked = 0
+    for name, mu, p in _screen_cases():
+        prm = Params(p=p)
+        box = _default_box(mu, p, 4.0)
+        for theta in (0.125, 0.0625):
+            net, stats = _build_once(mu, prm, box, theta)
+            P, R, L, j_min, j_max = _loop_build_once(mu, prm, box, theta)
+            assert (stats.j_min, stats.j_max) == (j_min, j_max), name
+            assert net.points.shape == P.shape, name
+            assert net.points.tobytes() == P.tobytes(), name
+            assert net.radii.tobytes() == R.tobytes(), name
+            assert net.layers.astype(np.int64).tobytes() == L.astype(np.int64).tobytes(), name
+            work = net.stats
+            assert work["radius_rows"] == work["lattice_rows"] - work["skipped_rows"] + mu.m + 2**mu.n + 1
+            checked += 1
+    assert checked == 2 * (200 + 50 + 4 + 2 + 2 * 6)
+
+
+def _random_measure(rng, n, offset):
+    m = int(rng.integers(1, 60))
+    return AtomicMeasure(
+        offset + rng.uniform(-1, 1, size=(m, n)) * 10.0 ** rng.uniform(-3, 1),
+        10.0 ** rng.uniform(-12, 12, size=m),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_radius_bounds_hold_against_brute_force(n, offset):
+    rng = np.random.default_rng(int(offset) + n)
+    tight = 0
+    for _ in range(12):
+        mu = _random_measure(rng, n, offset)
+        p = float(rng.choice([n + 0.2, n + 1.0, n + 4.0]))
+        box = _default_box(mu, p, 4.0)
+        RA, _ = _radii(mu, p, mu.positions)
+        j = int(rng.integers(_layer_of(2.0 * box.half_side), _layer_of(box.half_side / 64)))
+        h = 0.125 * 2.0**-j
+        if n == 1:
+            # any rows: the bounds are over every atom
+            X = box.lo + rng.random((400, n)) * 2.0 * box.half_side
+            X = np.concatenate([X, mu.positions, mu.positions + 1e-9 * box.half_side])
+            dist, lb, ub = _sorted_bounds(mu, RA)(X, None, None)
+        else:
+            # lattice rows and the atoms reaching them
+            X, row, atom = _layer_candidate_grid(mu.positions, box, j, h)
+            assert np.all(np.diff(row) >= 0) and np.unique(row).shape[0] == X.shape[0]
+            dist, lb, ub = _reach_bounds(mu.positions, RA)(X, row, atom)
+        R, _ = _radii(mu, p, X)
+        tol = np.array([_screen_tol(mu, p, box, r) for r in R])
+        # brute force over every atom, and over the atoms within the lattice's reach
+        D = np.max(np.abs(X[:, None, :] - mu.positions[None, :, :]), axis=2)
+        brute_lb, brute_ub = np.max(RA - D, axis=1), np.min(RA + D, axis=1)
+        if n == 1:
+            assert np.array_equal(dist, np.min(D, axis=1))
+            assert np.all(np.abs(lb - brute_lb) <= tol) and np.all(np.abs(ub - brute_ub) <= tol)
+        else:
+            # no tighter than every atom, no looser than the atoms within 2^-j (they all reach)
+            reach = D <= 2.0**-j
+            has = reach.any(axis=1)
+            assert np.array_equal(dist[has], np.min(D, axis=1)[has]) and np.all(dist >= np.min(D, axis=1))
+            assert np.all(lb <= brute_lb + tol) and np.all(ub >= brute_ub - tol)
+            assert np.all(lb >= np.max(np.where(reach, RA - D, -np.inf), axis=1) - tol)
+            assert np.all(ub <= np.min(np.where(reach, RA + D, np.inf), axis=1) + tol)
+        assert np.all(lb - tol <= R) and np.all(R <= ub + tol) and np.all(dist[R <= 2.0**-j] <= R[R <= 2.0**-j])
+        tight += int(np.sum(np.minimum(R - lb, ub - R) <= 1e-3 * R))
+    assert tight > 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_screen_keeps_every_row_of_its_layer(n):
+    # every lattice row with R in (2^-j-1, 2^-j] inside the box survives the screen
+    rng = np.random.default_rng(70 + n)
+    cases = [(_random_measure(rng, n, offset), float(rng.choice([n + 0.2, n + 1.0, n + 4.0])))
+             for offset in (0.0, 0.0, 0.0, 1e6, 1e6)]
+    cases.append((heavy_grid(3, n), 3.0))
+    rows = kept = in_layer = 0
+    for mu, p in cases:
+        box = _default_box(mu, p, 4.0)
+        fixed = np.concatenate([mu.positions, _corners(box), box.center[None, :]])
+        RF, _ = _radii(mu, p, fixed)
+        RA = RF[: mu.m]
+        bounds = _sorted_bounds(mu, RA) if n == 1 else _reach_bounds(mu.positions, RA)
+        layers = np.arange(_layer_of(float(np.max(RF)) + box.half_side), _layer_of(mu.total_mass ** (-1.0 / (p - n))) + 1)
+        # up to ten layers, the coarsest among them
+        layers = np.unique(np.concatenate([layers[:2], rng.choice(layers, size=min(8, layers.size), replace=False)]))
+        for j in layers.tolist():
+            for theta in (0.125, 0.0625):
+                h = max(theta * 2.0**-j, 2.0 * box.half_side * 2.0**-62)
+                X = _layer_candidate_grid(mu.positions, box, j, h)[0]
+                R, _ = _radii(mu, p, X)
+                inside = np.max(np.abs(X - box.center), axis=1) <= box.half_side * (1 + 1e-12)
+                want = X[inside & (R > 2.0 ** (-j - 1)) & (R <= 2.0**-j)]
+                got, count = _layer_rows(mu, p, box, RA, bounds, j, h)
+                assert count <= X.shape[0]
+                assert np.all(np.max(np.abs(got - box.center), axis=1) <= box.half_side * (1 + 1e-12))
+                assert {r.tobytes() for r in want} <= {r.tobytes() for r in got}
+                rows, kept, in_layer = rows + X.shape[0], kept + got.shape[0], in_layer + want.shape[0]
+    assert in_layer > 0 and kept < rows / 2
+
+
 def test_covering_violations_match_per_point_loop():
     rng = np.random.default_rng(4)
     for n, p in [(1, 2.0), (2, 3.0)]:
@@ -496,6 +654,18 @@ def test_build_net_logs_one_info_line(caplog):
     assert f"{net.size} points, 1 rounds, theta 0.125" in msg
     widened = int(msg.split(" widened radius rows")[0].rsplit(" ", 1)[1])
     assert widened > 0
+    lattice = int(msg.split(" lattice rows")[0].rsplit(" ", 1)[1])
+    skipped = int(msg.split(" skipped by the radius screen")[0].rsplit(" ", 1)[1])
+    rows, blocks = (int(v) for v in msg.split(" kernel blocks")[0].rsplit(", ", 1)[1].split(" radius rows in "))
+    assert lattice > skipped > 0
+    # the survivors and the layer-range batch of atoms, corners and center
+    assert rows == lattice - skipped + m + 3
+    # both passes in blocks of _ROW_BLOCK rows
+    assert blocks == -(-(m + 3) // _ROW_BLOCK) + -(-(lattice - skipped) // _ROW_BLOCK)
+    assert net.stats == {
+        "lattice_rows": lattice, "skipped_rows": skipped, "radius_rows": rows,
+        "kernel_blocks": blocks, "widened_rows": widened, "rounds": 1,
+    }
     kept = int(msg.split("layer sweeps kept ")[1].split(",")[0])
     pruned = int(msg.split("pruning left ")[1].split(",")[0])
     assert f"separation left {net.size} points" in msg

@@ -34,7 +34,7 @@ from sumspace.instances import heavy_grid, suite_1d, suite_2d
 from sumspace.lacunae import partition_lacunae
 from sumspace.measure import AtomicMeasure
 from sumspace.oracle1d import OracleProblem, sigma_norm_exact
-from sumspace.whitney import assign_anchors, build_whitney
+from sumspace.whitney import DepthLimitError, assign_anchors, build_whitney
 
 
 def two_atom():
@@ -303,6 +303,15 @@ def test_k_curve_boundary_sample_a_rounding_outside_a_hole():
     assert pt.oracle is None
     assert np.isfinite(pt.lower) and np.isfinite(pt.upper)
     assert 0 <= pt.lower <= pt.upper
+
+
+def test_k_curve_names_the_failing_scale():
+    # the net points at t = 1e-6 are closer than 60 dyadic halvings of the box resolve
+    mu = AtomicMeasure([[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
+    with pytest.raises(DepthLimitError) as info:
+        k_curve(mu, [0.0, 1.0], 3.0, t_grid=[1e-3, 1e-6])
+    assert str(info.value) == "dyadic recursion not settled at depth 60"
+    assert info.value.__notes__ == ["k_curve: t=1e-06, m=2, n=2"]
 
 
 def test_default_t_grid_spans_knee():

@@ -21,6 +21,7 @@ Each stage is run twice on the same input: once untraced for its wall time
 and once under ``tracemalloc`` for its peak of Python-allocated memory
 (numpy buffers included).  The JSON written holds, per rung, those two
 figures per stage and the counts that set the work: atoms, net points,
+the net build's lattice rows and the rows its radius kernel evaluated,
 cover cubes, holes, adjacency edges, lacunae, family members, pool cubes,
 weighted pairs and the cubes the seminorm quadrature integrates.
 """
@@ -94,6 +95,8 @@ def rung(mu, f, p: float) -> dict:
         "stages": stages,
         "counts": {
             "net_points": net.size,
+            "net_lattice_rows": net.stats["lattice_rows"],
+            "net_rows_evaluated": net.stats["radius_rows"],
             "cubes": cover.size,
             "holes": int(cover.hole_halves.shape[0]),
             "adjacency_edges": sum(len(nb) for nb in cover.neighbors) // 2,
