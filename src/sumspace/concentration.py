@@ -279,6 +279,10 @@ def _layer_candidate_grid(A: np.ndarray, box: Cube, j: int, h: float):
     lexicographic order; no flat key is formed, so nothing overflows however
     far apart the atoms lie.  Returns the points and the pairs ``(row,
     atom)`` of each point with every atom reaching it, sorted by point.
+
+    In 1d the boxes are intervals, and one sort of their starts gives the
+    union directly, ascending; the pairs are not formed (None), since the
+    1d screen (``_sorted_bounds``) does not read them.
     """
     reach = 2.0 ** (-j) + h
     lo = box.lo
@@ -290,6 +294,14 @@ def _layer_candidate_grid(A: np.ndarray, box: Cube, j: int, h: float):
     i0, i1 = i0[keep], i1[keep]
     if not keep.shape[0]:
         return np.zeros((0, n)), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    if n == 1:
+        # the indices of each interval past the ends of those starting before it
+        order = np.argsort(i0[:, 0], kind="stable")
+        a, b = i0[order, 0], i1[order, 0]
+        a[1:] = np.maximum(a[1:], np.maximum.accumulate(b)[:-1] + 1)
+        counts = np.maximum(b - a + 1, 0)
+        idx = np.arange(int(counts.sum())) + np.repeat(a - (np.cumsum(counts) - counts), counts)
+        return lo[None, :] + idx[:, None].astype(float) * h, None, None
     # entry t of atom a's box, row-major: the last axis varies fastest
     counts = i1 - i0 + 1
     sizes = np.prod(counts, axis=1)
@@ -449,7 +461,7 @@ def _layer_rows(mu: AtomicMeasure, p: float, box: Cube, RA: np.ndarray, bounds, 
     # of them when R(a) does by more than that
     near = np.flatnonzero(RA - (hi + 2.0 * h) <= hi + tol)
     X, row, atom = _layer_candidate_grid(mu.positions[near], box, j, h)
-    dist, lb, ub = bounds(X, row, near[atom])
+    dist, lb, ub = bounds(X, row, None if atom is None else near[atom])
     keep = _inside(X, box) & (dist <= hi) & (lb - tol <= hi) & (ub + tol > lo)
     return X[keep], X.shape[0]
 

@@ -605,10 +605,8 @@ class _Candidate(NamedTuple):
 _FIRST = np.zeros(1, dtype=np.intp)
 
 
-def _candidate_stream(mu: AtomicMeasure, p: float, seed: int, net: ConcentrationNet | None,
-                      reference: ReferenceFamily | None):
-    """Deterministic stream of candidates (``_Candidate``); prefix-stable in budget."""
-    rng = np.random.default_rng(seed)
+def _structured_candidates(mu: AtomicMeasure):
+    """The stream's atom-pair block and its all-atoms block; they depend only on the positions."""
     m = mu.m
     pos = mu.positions
 
@@ -630,18 +628,13 @@ def _candidate_stream(mu: AtomicMeasure, p: float, seed: int, net: Concentration
         for a in (1.05, 1.5, 3.0):
             yield _Candidate(c[None, :], np.array([a * h]), _FIRST, _FIRST)
 
-    # net cubes paired with themselves
-    if net is not None and net.size:
-        ids = np.arange(net.size)
-        yield _Candidate(net.points, net.radii, ids, ids)
 
-    # the constructed reference family, admissible at its recorded dilation
-    if reference is not None:
-        fa = reference.assignment
-        yield _Candidate(fa.family.centers, fa.family.halves, fa.prime, fa.dprime, fa.pool,
-                         reference.gamma_needed * (1 + 1e-9))
-
-    # random multi-cube families over atom midpoints at dyadic scales
+def _random_candidates(mu: AtomicMeasure, seed: int):
+    """The stream's seeded random multi-cube families over atom midpoints at
+    dyadic scales; they depend only on the positions and the seed."""
+    rng = np.random.default_rng(seed)
+    m = mu.m
+    pos = mu.positions
     while True:
         k = int(rng.integers(1, 4))
         centers, halves = [], []
@@ -657,6 +650,60 @@ def _candidate_stream(mu: AtomicMeasure, p: float, seed: int, net: Concentration
         prime = [int(rng.integers(0, k)) for _ in range(k)]
         dprime = [int(rng.integers(0, k)) for _ in range(k)]
         yield _Candidate(centers, shrunk, prime, dprime)
+
+
+class _SearchContext:
+    """The part of the search's candidate stream that no scale changes, shared by the scales.
+
+    The atom-pair, all-atoms and random blocks depend only on the atom
+    positions and the seed, so rescaling the measure leaves them as they
+    are.  Each block is made lazily, once, into a list that every later
+    stream reads; ``made`` counts the candidates made and ``served`` those
+    read back from the lists.  ``references`` counts the streams that reached
+    their reference family.
+    """
+
+    def __init__(self, mu: AtomicMeasure, seed: int):
+        self._blocks = ([], _structured_candidates(mu)), ([], _random_candidates(mu, seed))
+        self.made = self.served = self.references = 0
+
+    def _read(self, done: list, source):
+        """The block's candidates in order: those already made, then new ones from ``source``."""
+        for i in itertools.count():
+            if i == len(done):
+                cand = next(source, None)
+                if cand is None:
+                    return
+                done.append(cand)
+                self.made += 1
+            else:
+                self.served += 1
+            yield done[i]
+
+    def stream(self, net: ConcentrationNet | None, reference):
+        """Deterministic stream of candidates (``_Candidate``); prefix-stable in budget.
+
+        The scale's net cubes and reference family are spliced in between
+        the shared blocks.  ``reference`` is None or a function that returns
+        the reference family; it is called only when the stream reaches it.
+        """
+        structured, drawn = self._blocks
+        yield from self._read(*structured)
+
+        # net cubes paired with themselves
+        if net is not None and net.size:
+            ids = np.arange(net.size)
+            yield _Candidate(net.points, net.radii, ids, ids)
+
+        # the constructed reference family, admissible at its recorded dilation
+        if reference is not None:
+            ref = reference()
+            self.references += 1
+            fa = ref.assignment
+            yield _Candidate(fa.family.centers, fa.family.halves, fa.prime, fa.dprime, fa.pool,
+                             ref.gamma_needed * (1 + 1e-9))
+
+        yield from self._read(*drawn)
 
 
 def _local_moves(fa: FamilyAssignment, rng: np.random.Generator) -> list[_Candidate]:
@@ -757,17 +804,24 @@ def search_lower_bound(
     valuation per chunk (``_value_chunk``), and then visited in order.  The
     stream yields arrays (``_Candidate``); a :class:`FamilyAssignment` is
     built only for the best family and for the admissible candidates
-    appended to ``collect``, as ``(family, value)`` in stream order.
+    appended to ``collect``, as ``(family, value)`` in stream order.  The
+    stream comes from a fresh ``_SearchContext``; ``k_curve`` runs the same
+    search with one context shared by its scales.
     """
+    stream = _SearchContext(mu, seed).stream(net, None if reference is None else lambda: reference)
+    return _search(mu, _values_of(f), p, variant, budget, seed, stream, collect)
+
+
+def _search(mu: AtomicMeasure, values: np.ndarray, p: float, variant: Variant, budget: int, seed: int,
+            stream, collect: list | None):
+    """The search of :func:`search_lower_bound` over the given candidate stream."""
     gamma = _default_gamma()
-    values = _values_of(f)
     move_rng = np.random.default_rng(seed + 0x5EED)
     best_val = 0.0
     best = best_fa = None
     count = 0
     pending: list[_Candidate] = []
     last_mutated = None
-    stream = _candidate_stream(mu, p, seed, net, reference)
 
     while count < budget:
         size = min(8, budget - count)
@@ -847,6 +901,11 @@ def k_curve(
     rebuilt to give ``upper = t * (seminorm + residual norm)``, and the best
     family value gives ``lower = t * value^(1/p)``.  In one dimension the
     exact oracle column is filled as well.
+
+    The scales share one search context (``_SearchContext``): the
+    candidates that depend only on the positions and the seed are made once
+    per curve.  A scale's reference family is built only if its search
+    reaches it in the stream.
     """
     if params is None:
         params = Params(p=p)
@@ -858,26 +917,31 @@ def k_curve(
         from .oracle1d import OracleProblem, k_exact
 
         oracle_prob = OracleProblem.from_measure(mu, values, p)
+    context = _SearchContext(mu, seed)
     out = []
-    for t in t_grid:
-        if not t > 0:
-            raise ValueError("t grid must be positive")
-        try:
-            mu_t = mu.scaled(t ** (-p))
-            pipeline = build_pipeline(mu_t, params)
-            net = pipeline[0]
-            ref = build_reference_family(mu_t, net, pipeline[1], pipeline[3], params)
-            upper = float(t) * upper_estimate(mu_t, values, params, pipeline)
-            val, _ = search_lower_bound(
-                mu_t, values, p, Variant.CR, budget=budget, seed=seed, net=net, reference=ref
-            )
-            lower = float(t) * val ** (1.0 / p)
-            oracle = None if oracle_prob is None else k_exact(oracle_prob, float(t))
-        except Exception as exc:
-            # name the failing scale and instance; the message and type stay as raised
-            exc.add_note(f"k_curve: t={t:.9g}, m={mu.m}, n={mu.n}")
-            raise
-        out.append(KCurvePoint(float(t), lower, upper, oracle))
+    try:
+        for t in t_grid:
+            if not t > 0:
+                raise ValueError("t grid must be positive")
+            try:
+                mu_t = mu.scaled(t ** (-p))
+                net, cover, _, lacs = pipeline = build_pipeline(mu_t, params)
+                upper = float(t) * upper_estimate(mu_t, values, params, pipeline)
+                stream = context.stream(net, lambda: build_reference_family(mu_t, net, cover, lacs, params))
+                val, _ = _search(mu_t, values, p, Variant.CR, budget, seed, stream, None)
+                lower = float(t) * val ** (1.0 / p)
+                oracle = None if oracle_prob is None else k_exact(oracle_prob, float(t))
+            except Exception as exc:
+                # name the failing scale and instance; the message and type stay as raised
+                exc.add_note(f"k_curve: t={t:.9g}, m={mu.m}, n={mu.n}")
+                raise
+            out.append(KCurvePoint(float(t), lower, upper, oracle))
+    finally:
+        log.info(
+            "k_curve: %d scales run, %d stream candidates made, %d served from the shared list, "
+            "%d reference families built",
+            len(out), context.made, context.served, context.references,
+        )
     return out
 
 

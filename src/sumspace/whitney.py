@@ -141,6 +141,7 @@ def build_whitney(net: ConcentrationNet) -> WhitneyCover:
     R = net.radii
     eta = net.params.eta
     hole_r = eta * R / 4.0
+    hole_max = hole_r.max()
     box = net.working_box
     n = net.n
 
@@ -181,19 +182,21 @@ def build_whitney(net: ConcentrationNet) -> WhitneyCover:
         if rest_c.shape[0] == 0:
             break
         # inner hole: failing cube contained in Q(e, eta R(e) / 4), owned by
-        # the first such e
-        at, e = near_pairs(rest_c, rest_h, E, hole_r)
-        in_hole = np.max(np.abs(rest_c[at] - E[e]), axis=1) + rest_h[at] <= hole_r[e]
-        owner = _first_hits(at[in_hole], e[in_hole], rest_c.shape[0])
-        is_hole = owner >= 0
-        if np.any(is_hole):
-            hol_c.append(rest_c[is_hole])
-            hol_h.append(rest_h[is_hole])
-            hol_e.append(owner[is_hole])
-        split_c = rest_c[~is_hole]
-        split_h = rest_h[~is_hole]
-        if split_c.shape[0] == 0:
-            break
+        # the first such e; no cube with a half side above every hole radius is
+        split_c, split_h = rest_c, rest_h
+        if rest_h.min() <= hole_max:
+            at, e = near_pairs(rest_c, rest_h, E, hole_r)
+            in_hole = np.max(np.abs(rest_c[at] - E[e]), axis=1) + rest_h[at] <= hole_r[e]
+            owner = _first_hits(at[in_hole], e[in_hole], rest_c.shape[0])
+            is_hole = owner >= 0
+            if np.any(is_hole):
+                hol_c.append(rest_c[is_hole])
+                hol_h.append(rest_h[is_hole])
+                hol_e.append(owner[is_hole])
+                split_c = rest_c[~is_hole]
+                split_h = rest_h[~is_hole]
+                if split_c.shape[0] == 0:
+                    break
         child_h = split_h / 2.0
         C = (split_c[:, None, :] + child_h[:, None, None] * offsets[None, :, :] * 2.0).reshape(
             -1, n

@@ -356,6 +356,58 @@ def test_layer_candidate_grid_far_apart_atoms():
     assert got.shape[0] > 0 and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _enumerated_lattice(A, box, j, h):
+    """Reference: every atom's index box enumerated entry by entry, then a
+    lexicographic sort with repeats dropped (the points only)."""
+    reach = 2.0 ** (-j) + h
+    lo = box.lo
+    n = A.shape[1]
+    max_idx = np.maximum(np.ceil((box.hi - lo) / h).astype(int), 0)
+    i0 = np.maximum(np.floor((A - reach - lo) / h).astype(int), 0)
+    i1 = np.minimum(np.ceil((A + reach - lo) / h).astype(int), max_idx)
+    keep = np.flatnonzero(np.all(i1 >= i0, axis=1))
+    i0, i1 = i0[keep], i1[keep]
+    if not keep.shape[0]:
+        return np.zeros((0, n))
+    counts = i1 - i0 + 1
+    sizes = np.prod(counts, axis=1)
+    atom = np.repeat(np.arange(sizes.shape[0]), sizes)
+    t = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    idx = np.empty((t.shape[0], n), dtype=int)
+    for d in range(n - 1, 0, -1):
+        c = counts[atom, d]
+        idx[:, d] = i0[atom, d] + t % c
+        t //= c
+    idx[:, 0] = i0[atom, 0] + t
+    idx = idx[np.lexsort(idx.T[::-1])]
+    new = np.concatenate([[True], np.any(idx[1:] != idx[:-1], axis=1)])
+    return lo[None, :] + idx[new].astype(float) * h
+
+
+def test_layer_candidate_grid_1d_interval_union_matches_enumeration():
+    """The 1d union of index intervals keeps the rows and order of the entry-by-entry
+    enumeration, bit for bit: every layer of the large1d-sized input and of the 1d
+    suite, coincident and adjacent intervals, and boxes that clip or miss the atoms."""
+    rng = np.random.default_rng(0)
+    cases = [(AtomicMeasure(rng.uniform(0, 1, size=(256, 1)), 2.0 ** rng.uniform(-2, 2, size=256)), 2.0)]
+    cases += [(inst.mu, inst.p) for inst in suite_1d(40)]
+    cases.append((AtomicMeasure([[0.0], [0.0 + 2.0**-40], [1.0], [1.5], [3.0]], np.ones(5)), 2.0))
+    rows = 0
+    for mu, p in cases:
+        box = _default_box(mu, p, 4.0)
+        for theta in (0.125, 0.0625):
+            _, stats = _build_once(mu, Params(p=p), box, theta)
+            for j in range(stats.j_min - 1, stats.j_max + 2):
+                h = max(theta * 2.0 ** (-j), 2.0 * box.half_side * 2.0**-62)
+                for b in (box, Cube(box.center + 0.75 * box.half_side, box.half_side / 2), Cube(box.hi + 1.0, 0.5)):
+                    got, row, atom = _layer_candidate_grid(mu.positions, b, j, h)
+                    want = _enumerated_lattice(mu.positions, b, j, h)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                    assert row is None and atom is None or got.shape[0] == 0
+                    rows += got.shape[0]
+    assert rows > 0
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("weight", [1e12, 1e18, 1e60])
 def test_build_net_extreme_masses(n, weight):

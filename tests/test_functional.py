@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from sumspace.functional import (
     ReferenceFamily,
     Variant,
     WeightedPair,
-    _candidate_stream,
+    _SearchContext,
     _shrink_to_disjoint,
     _Valuation,
     admissible_sums,
@@ -33,7 +34,7 @@ from sumspace.geometry import Cube, CubeFamily, cube_contains
 from sumspace.instances import heavy_grid, suite_1d, suite_2d
 from sumspace.lacunae import partition_lacunae
 from sumspace.measure import AtomicMeasure
-from sumspace.oracle1d import OracleProblem, sigma_norm_exact
+from sumspace.oracle1d import OracleProblem, k_exact, sigma_norm_exact
 from sumspace.whitney import DepthLimitError, assign_anchors, build_whitney
 
 
@@ -989,9 +990,154 @@ def test_candidate_stream_holds_one_atom_row_at_a_time():
     mu = AtomicMeasure(np.random.default_rng(0).uniform(0.0, 1.0, size=(m, 1)), np.ones(m))
     tracemalloc.start()
     try:
-        first = list(itertools.islice(_candidate_stream(mu, 2.0, 0, None, None), 25))
+        first = list(itertools.islice(_SearchContext(mu, 0).stream(None, None), 25))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(first) == 25
     assert peak < 2**20
+
+
+def _loop_k_curve(mu, f, p, t_grid, budget=40, seed=0):
+    """Reference: the per-scale loop, every stage and the reference family
+    rebuilt at each t, and the one-by-one search."""
+    params = Params(p=p)
+    values = np.asarray(f, dtype=float)
+    prob = OracleProblem.from_measure(mu, values, p) if mu.n == 1 else None
+    out = []
+    for t in t_grid:
+        try:
+            mu_t = mu.scaled(t ** (-p))
+            pipeline = build_pipeline(mu_t, params)
+            net = pipeline[0]
+            ref = build_reference_family(mu_t, net, pipeline[1], pipeline[3], params)
+            upper = float(t) * upper_estimate(mu_t, values, params, pipeline)
+            val, _ = _loop_search_lower_bound(mu_t, values, p, Variant.CR, budget, seed, net=net, reference=ref)
+            lower = float(t) * val ** (1.0 / p)
+            oracle = None if prob is None else k_exact(prob, float(t))
+        except Exception as exc:
+            exc.add_note(f"k_curve: t={t:.9g}, m={mu.m}, n={mu.n}")
+            raise
+        out.append(KCurvePoint(float(t), lower, upper, oracle))
+    return out
+
+
+def _curve_outcome(curve, *args, **kwargs):
+    """The bits of every point of a curve, or the type, message and notes of its error."""
+    try:
+        pts = curve(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "__notes__", None)
+    oracle = [None if pt.oracle is None else _bits(pt.oracle) for pt in pts]
+    return [(_bits(pt.t), _bits(pt.lower), _bits(pt.upper), o) for pt, o in zip(pts, oracle)]
+
+
+def _first_of_each_size(insts, sizes):
+    by_m = {}
+    for inst in insts:
+        by_m.setdefault(inst.mu.m, inst)
+    return [by_m[m] for m in sizes]
+
+
+def _counting_reference_builds(monkeypatch):
+    """The measures ``build_reference_family`` is called with, as ``k_curve`` calls it."""
+    import sumspace.functional as functional
+
+    built = []
+
+    def counted(mu, *args):
+        built.append(mu.weights.tobytes())
+        return build_reference_family(mu, *args)
+
+    monkeypatch.setattr(functional, "build_reference_family", counted)
+    return built
+
+
+def test_k_curve_bit_equal_to_per_scale_loop(monkeypatch):
+    """Whole 1d curves at m = 1..10 keep the bits of the per-scale loop; the
+    small ones reach the net and reference candidates, the larger ones do not."""
+    built = _counting_reference_builds(monkeypatch)
+    reached, whole = [], 0
+    for inst in _first_of_each_size(suite_1d(60), range(1, 11)):
+        grid = default_t_grid(inst.mu, inst.f, inst.p, k=4)
+        built.clear()
+        got = _curve_outcome(k_curve, inst.mu, inst.f, inst.p, t_grid=grid, seed=inst.seed)
+        assert got == _curve_outcome(_loop_k_curve, inst.mu, inst.f, inst.p, grid, seed=inst.seed)
+        whole += isinstance(got, list)
+        reached.append(len(built))
+    assert whole >= 8
+    assert min(reached[:3]) > 0 and max(reached[3:]) == 0
+
+
+def test_k_curve_2d_bit_equal_to_per_scale_loop():
+    inst = suite_2d(4)[3]
+    grid = [0.1, 0.5, 2.0]
+    got = _curve_outcome(k_curve, inst.mu, inst.f, inst.p, t_grid=grid, budget=25, seed=inst.seed)
+    assert isinstance(got, list) and len(got) == 3
+    assert got == _curve_outcome(_loop_k_curve, inst.mu, inst.f, inst.p, grid, budget=25, seed=inst.seed)
+
+
+def test_k_curve_failing_scale_matches_per_scale_loop():
+    # at the sixth scale the net is one point whose hole holds the whole box
+    (inst,) = [inst for inst in suite_1d(14) if inst.seed == 1013]
+    grid = default_t_grid(inst.mu, inst.f, inst.p, k=8)
+    got = _curve_outcome(k_curve, inst.mu, inst.f, inst.p, t_grid=grid, seed=inst.seed)
+    assert got == (RuntimeError, "Whitney construction selected no cubes", ["k_curve: t=28.7072685, m=2, n=1"])
+    assert got == _curve_outcome(_loop_k_curve, inst.mu, inst.f, inst.p, grid, seed=inst.seed)
+
+
+class _ReachedReference:
+    """A reference family that records whether the search's stream read it."""
+
+    def __init__(self, ref):
+        self._ref, self.gamma_needed, self.reached = ref, ref.gamma_needed, False
+
+    @property
+    def assignment(self):
+        self.reached = True
+        return self._ref.assignment
+
+
+def test_k_curve_builds_the_reference_family_only_where_the_search_reaches_it(monkeypatch):
+    built = _counting_reference_builds(monkeypatch)
+    reached = []
+    for inst in suite_1d(16):
+        p, prm = inst.p, Params(p=inst.p)
+        grid = default_t_grid(inst.mu, inst.f, p, k=4)
+        want = []
+        for t in grid:
+            mu_t = inst.mu.scaled(t ** (-p))
+            try:
+                net, cover, _, lacs = build_pipeline(mu_t, prm)
+            except RuntimeError:
+                break
+            ref = _ReachedReference(build_reference_family(mu_t, net, cover, lacs, prm))
+            _loop_search_lower_bound(mu_t, inst.f, p, Variant.CR, 40, inst.seed, net=net, reference=ref)
+            if ref.reached:
+                want.append(mu_t.weights.tobytes())
+        built.clear()
+        try:
+            k_curve(inst.mu, inst.f, p, t_grid=grid, seed=inst.seed)
+        except RuntimeError:
+            pass
+        assert built == want
+        reached.append(len(want))
+    assert 0 in reached and max(reached) == 4
+
+
+def test_k_curve_logs_one_info_line_per_curve(caplog):
+    inst = _first_of_each_size(suite_1d(60), [6])[0]
+    grid = default_t_grid(inst.mu, inst.f, inst.p, k=4)
+    with caplog.at_level(logging.INFO, logger="sumspace.functional"):
+        k_curve(inst.mu, inst.f, inst.p, t_grid=grid, budget=40, seed=inst.seed)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("k_curve:")]
+    # every scale reads the same 40 stream candidates of the 15 * 6 + 3 atom-pair
+    # and all-atoms ones, less its local moves; only the first scale makes them
+    (line,) = lines
+    counts = re.fullmatch(
+        r"k_curve: 4 scales run, (\d+) stream candidates made, (\d+) served from the shared list, "
+        r"0 reference families built",
+        line,
+    )
+    made, served = map(int, counts.groups())
+    assert 0 < made <= 40 and made < served <= 3 * 40

@@ -391,6 +391,29 @@ def test_candidates_scale_with_cubes_on_a_1d_heavy_grid(caplog):
 
 
 
+def test_hole_join_runs_only_where_a_cube_can_lie_in_a_hole(monkeypatch):
+    """A level joins its cubes with the holes only when one of its cubes is no
+    larger than the largest hole radius; the coarse levels of a small cover skip it."""
+    joins = []
+
+    def counted(ca, ha, cb=None, hb=None):
+        if hb is not None and np.any(hb > 0):
+            joins.append((float(ha.min()), float(hb.max())))
+        return near_pairs(ca, ha, cb, hb)
+
+    near_pairs = whitney.near_pairs
+    monkeypatch.setattr(whitney, "near_pairs", counted)
+    skipped = 0
+    for inst in suite_1d(20) + suite_2d(5):
+        joins.clear()
+        cover = build_whitney(build_net(inst.mu, Params(p=inst.p)))
+        assert all(h <= r for h, r in joins)
+        if cover.hole_halves.size:
+            assert joins
+        skipped += int(cover.levels.max()) + 1 - len(joins)
+    assert skipped > 0
+
+
 def test_depth_limit_tells_dense_nets_from_unsettled_ones(monkeypatch):
     monkeypatch.setattr(whitney, "DEPTH_LIMIT", 1)
     # at level 2 a cube of the 3x3 grid's cover holds several net points

@@ -16,7 +16,9 @@ of those values (budget 25, seed 0, with the net and the reference family,
 as the benchmark's estimate runs it); on the 1d rungs also
 ``sigma_norm_exact`` and ``k_exact`` at the four scales of
 ``default_t_grid(k=4)``, one stage for the four calls, as a kcurve1d
-curve runs them.
+curve runs them.  On the 1d rung of CURVE_ATOMS atoms and the grid rung
+of side CURVE_SIDE a last stage, ``k_curve``, runs the whole curve over
+that grid (budget 40, seed 0), every scale and its shared search stream.
 Each stage is run twice on the same input: once untraced for its wall time
 and once under ``tracemalloc`` for its peak of Python-allocated memory
 (numpy buffers included).  The JSON written holds, per rung, those two
@@ -41,7 +43,7 @@ import numpy as np
 
 from sumspace.concentration import Params, build_net
 from sumspace.decompose import _active_cubes, build_extension, estimate_sobolev_seminorm
-from sumspace.functional import Variant, build_reference_family, default_t_grid, search_lower_bound
+from sumspace.functional import Variant, build_reference_family, default_t_grid, k_curve, search_lower_bound
 from sumspace.instances import heavy_grid
 from sumspace.lacunae import partition_lacunae
 from sumspace.measure import AtomicMeasure
@@ -55,6 +57,8 @@ MIB = 1024.0 * 1024.0
 SIDES = (4, 8, 12)
 ATOMS = (512, 2048)
 ATOMS_2D = (8, 32, 128)
+CURVE_ATOMS = 512
+CURVE_SIDE = 4
 
 
 def measure(stage):
@@ -71,7 +75,7 @@ def measure(stage):
     return out, {"wall_s": round(wall, 4), "peak_mib": round(peak / MIB, 2)}
 
 
-def rung(mu, f, p: float) -> dict:
+def rung(mu, f, p: float, curve: bool = False) -> dict:
     prm = Params(p=p)
     stages = {}
     net, stages["build_net"] = measure(lambda: build_net(mu, prm))
@@ -89,6 +93,9 @@ def rung(mu, f, p: float) -> dict:
         _, stages["sigma_norm_exact"] = measure(lambda: sigma_norm_exact(OracleProblem.from_measure(mu, f, p)))
         prob, grid = OracleProblem.from_measure(mu, f, p), default_t_grid(mu, f, p, k=4)
         _, stages["k_exact"] = measure(lambda: [k_exact(prob, t) for t in grid])
+    if curve:
+        grid = default_t_grid(mu, f, p, k=4)
+        _, stages["k_curve"] = measure(lambda: k_curve(mu, f, p, t_grid=grid))
     return {
         "atoms": mu.m,
         "p": prm.p,
@@ -113,13 +120,14 @@ def rung(mu, f, p: float) -> dict:
 
 def grid_rung(k: int) -> dict:
     mu = heavy_grid(k)
-    return {"instance": "heavy_grid", "side": k, **rung(mu, np.random.default_rng(0).normal(size=mu.m), 3.0)}
+    f = np.random.default_rng(0).normal(size=mu.m)
+    return {"instance": "heavy_grid", "side": k, **rung(mu, f, 3.0, curve=k == CURVE_SIDE)}
 
 
 def uniform_rung(m: int) -> dict:
     wl = WORKLOADS["large1d"]
     inst = wl.make(0, 0, dataclasses.replace(wl.sizes["full"], atoms=m))
-    return {"instance": "uniform_1d", **rung(inst.mu, inst.f, inst.p)}
+    return {"instance": "uniform_1d", **rung(inst.mu, inst.f, inst.p, curve=m == CURVE_ATOMS)}
 
 
 def uniform_2d_rung(m: int) -> dict:
