@@ -67,7 +67,7 @@ def _roundtrip(obj):
 
 
 def _emit(args, payload, csv_text=None):
-    if getattr(args, "format", "json") == "csv" and csv_text is not None:
+    if csv_text is not None and args.format == "csv":
         text = csv_text
     else:
         text = json.dumps(_roundtrip(payload), sort_keys=True, indent=2) + "\n"
@@ -76,20 +76,6 @@ def _emit(args, payload, csv_text=None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _add_common(sp, measure=True, function=True):
-    if measure:
-        sp.add_argument("--measure", required=True, help="measure JSON file")
-    if function:
-        sp.add_argument("--function", help="function JSON file aligned with the measure")
-    sp.add_argument("--p", type=float, required=True, help="integrability exponent, p > n")
-    sp.add_argument("--tau", type=float, default=9.0, help="anchor dilation (default 9)")
-    sp.add_argument("--gamma", type=float, default=None, help="containment dilation override")
-    sp.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    sp.add_argument("--t-grid", dest="t_grid", default=None, help="a:b:k log-spaced grid")
-    sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--format", choices=["json", "csv"], default="json")
 
 
 def _load(args, need_function):
@@ -101,7 +87,8 @@ def _load(args, need_function):
         if not args.function:
             raise MeasureFormatError("this command needs --function")
         f = load_function(args.function, mu)
-    prm = Params(p=args.p, tau=args.tau, gamma=args.gamma)
+    # oracle takes no --tau; the params still check p
+    prm = Params(p=args.p, tau=getattr(args, "tau", Params.tau))
     return mu, f, prm
 
 
@@ -121,7 +108,7 @@ def _parse_t_grid(grid_arg: str, mu, f, p):
 def cmd_net(args):
     mu, _, prm = _load(args, need_function=False)
     net = build_net(mu, prm)
-    report = verify_concentration(net, mu, prm, rng=np.random.default_rng(args.seed))
+    report = verify_concentration(net, mu, rng=np.random.default_rng(args.seed))
     payload = net.to_json_dict()
     payload["verification"] = {
         c.name: {"ok": c.ok, "checked": c.checked, "worst": c.worst} for c in report.checks
@@ -132,7 +119,7 @@ def cmd_net(args):
 
 def cmd_whitney(args):
     mu, _, prm = _load(args, need_function=False)
-    net, cover, pou, lacs = build_pipeline(mu, prm)
+    _, cover, _, lacs = build_pipeline(mu, prm)
     edges, contact_report = contact_graph(lacs, cover)
     payload = cover.to_json_dict()
     payload["lacunae"] = [
@@ -159,8 +146,8 @@ def cmd_whitney(args):
 
 def cmd_decompose(args):
     mu, f, prm = _load(args, need_function=True)
-    net, cover, pou, _ = build_pipeline(mu, prm)
-    dec = build_extension(f, mu, net, cover, pou, prm)
+    _, cover, _, _ = build_pipeline(mu, prm)
+    dec = build_extension(f, mu, cover)
     payload = dec.to_json_dict()
     payload["seminorm"] = {
         "quadrature": estimate_sobolev_seminorm(dec),
@@ -173,7 +160,7 @@ def cmd_decompose(args):
 
 def cmd_estimate(args):
     mu, f, prm = _load(args, need_function=True)
-    net, cover, pou, lacs = build_pipeline(mu, prm)
+    net, cover, _, lacs = build_pipeline(mu, prm)
     ref = build_reference_family(mu, net, cover, lacs, prm)
     gamma = ref.gamma_needed * (1 + 1e-9)
     values = {}
@@ -220,7 +207,7 @@ def cmd_kcurve(args):
 
 
 def cmd_oracle(args):
-    mu, f, prm = _load(args, need_function=True)
+    mu, f, _ = _load(args, need_function=True)
     if mu.n != 1:
         raise MeasureFormatError("the exact oracle is one-dimensional")
     prob = OracleProblem.from_measure(mu, f, args.p)
@@ -235,6 +222,8 @@ def cmd_oracle(args):
 
 def cmd_validate_family(args):
     mu, f, prm = _load(args, need_function=False)
+    if args.gamma is not None and not args.gamma > 0:
+        raise ValueError("gamma must be positive")
     with open(args.family) as fh:
         fa = FamilyAssignment.from_json_dict(json.load(fh))
     gamma = args.gamma if args.gamma is not None else prm.gamma_value
@@ -263,6 +252,37 @@ def cmd_selftest(args):
     return code
 
 
+# every flag of the pipeline commands
+FLAGS = {
+    "--measure": dict(required=True, help="measure JSON file"),
+    "--function": dict(help="function JSON file aligned with the measure"),
+    "--p": dict(type=float, required=True, help="integrability exponent, p > n"),
+    "--tau": dict(type=float, default=9.0, help="anchor dilation (default 9)"),
+    "--gamma": dict(type=float, default=None, help="containment dilation override"),
+    "--seed": dict(type=int, default=0, help="seed for all randomness"),
+    "--t-grid": dict(dest="t_grid", default=None, help="a:b:k log-spaced grid"),
+    "--out": dict(default=None, help="output path (default stdout)"),
+    "--format": dict(choices=["json", "csv"], default="json"),
+    "--family": dict(required=True, help="family JSON file"),
+    "--variant": dict(default="CR", choices=[v.value for v in Variant], help="functional variant"),
+}
+
+# per pipeline command: its handler, its help line, and the flags its handler reads
+COMMANDS = {
+    "net": (cmd_net, "build and verify the concentration net", "--measure --p --tau --seed --out"),
+    "whitney": (cmd_whitney, "build the cover and inspect lacunae", "--measure --p --tau --out"),
+    "decompose": (cmd_decompose, "linear decomposition with both norms",
+                  "--measure --function --p --tau --out"),
+    "estimate": (cmd_estimate, "constructed-family functional, all variants",
+                 "--measure --function --p --tau --out"),
+    "kcurve": (cmd_kcurve, "two-sided K-functional curve",
+               "--measure --function --p --tau --seed --t-grid --out --format"),
+    "oracle": (cmd_oracle, "exact 1d sum-space norm", "--measure --function --p --out"),
+    "validate-family": (cmd_validate_family, "check and value a user family",
+                        "--measure --function --p --tau --gamma --out --family --variant"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sumspace",
@@ -270,37 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("net", help="build and verify the concentration net")
-    _add_common(sp, function=False)
-    sp.set_defaults(fn=cmd_net)
-
-    sp = sub.add_parser("whitney", help="build the cover and inspect lacunae")
-    _add_common(sp, function=False)
-    sp.set_defaults(fn=cmd_whitney)
-
-    sp = sub.add_parser("decompose", help="linear decomposition with both norms")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_decompose)
-
-    sp = sub.add_parser("estimate", help="constructed-family functional, all variants")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_estimate)
-
-    sp = sub.add_parser("kcurve", help="two-sided K-functional curve")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_kcurve)
-
-    sp = sub.add_parser("oracle", help="exact 1d sum-space norm")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_oracle)
-
-    sp = sub.add_parser("validate-family", help="check and value a user family")
-    _add_common(sp)
-    sp.add_argument("--family", required=True, help="family JSON file")
-    sp.add_argument(
-        "--variant", default="CR", choices=[v.value for v in Variant], help="functional variant"
-    )
-    sp.set_defaults(fn=cmd_validate_family)
+    for name, (fn, text, flags) in COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        for flag in flags.split():
+            sp.add_argument(flag, **FLAGS[flag])
+        sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("selftest", help="run the invariant suites")
     sp.add_argument("--seed", type=int, default=0)

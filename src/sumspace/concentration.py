@@ -65,22 +65,19 @@ class Params:
     """Exponent and dilation parameters shared across the construction.
 
     ``tau`` is the anchor dilation (anchors live in ``tau * Q``), ``eta`` the
-    derived inner-core factor ``1 / (21 tau)``, and ``gamma`` the containment
-    dilation used to validate cube-family assignments, defaulting to
+    derived inner-core factor ``1 / (21 tau)``, and ``gamma_value`` the
+    default containment dilation used to validate cube-family assignments,
     ``2^8 tau^2``.
     """
 
     p: float
     tau: float = 9.0
-    gamma: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.p) and self.p > 1):
             raise ValueError(f"p must be finite and > 1, got {self.p}")
         if not self.tau >= 9.0:
             raise ValueError(f"tau must be >= 9, got {self.tau}")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError("gamma must be positive")
 
     @property
     def eta(self) -> float:
@@ -88,7 +85,7 @@ class Params:
 
     @property
     def gamma_value(self) -> float:
-        return self.gamma if self.gamma is not None else 256.0 * self.tau**2
+        return 256.0 * self.tau**2
 
     def check_dimension(self, n: int) -> None:
         if not self.p > n:
@@ -626,21 +623,14 @@ class ConcentrationReport:
     def add(self, name, ok, checked, worst, detail=""):
         self.checks.append(CheckResult(name, bool(ok), int(checked), float(worst), detail))
 
-    def summary_lines(self) -> list[str]:
-        return [
-            f"{'ok' if c.ok else 'FAIL'} {c.name} checked={c.checked} worst={c.worst:.9g}"
-            + (f" ({c.detail})" if c.detail else "")
-            for c in self.checks
-        ]
-
 
 def verify_concentration(
     net: ConcentrationNet,
     mu: AtomicMeasure,
-    params: Params,
     rng: np.random.Generator | None = None,
 ) -> ConcentrationReport:
-    """Report the mass-concentration inequalities for the built net.
+    """Report the mass-concentration inequalities for a net built from ``mu``,
+    at the exponent of the net's params.
 
     Checks, for every net cube ``K = Q(e, R(e))`` with ``d = diam K``:
 
@@ -653,7 +643,7 @@ def verify_concentration(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    p, n = params.p, mu.n
+    p, n = net.params.p, mu.n
     rep = ConcentrationReport()
 
     d = 2.0 * net.radii

@@ -64,17 +64,28 @@ class QuadratureError(RuntimeError):
 
 @dataclass
 class Decomposition:
+    """``f = T1 f + T2 f`` at the atoms; the net, params and partition are the cover's."""
+
     mu: AtomicMeasure
     f: np.ndarray
-    params: Params
-    net: ConcentrationNet
     cover: WhitneyCover
-    pou: PartitionOfUnity
     tilde: np.ndarray
     far_field: float
     f1_at_atoms: np.ndarray
     f2: np.ndarray
     boundary_mismatch: float
+
+    @property
+    def net(self) -> ConcentrationNet:
+        return self.cover.net
+
+    @property
+    def params(self) -> Params:
+        return self.cover.net.params
+
+    @property
+    def pou(self) -> PartitionOfUnity:
+        return PartitionOfUnity(self.cover)
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,17 +179,14 @@ def _extension(part: PartitionValues, anchors: np.ndarray, far: int) -> SparseRo
 def build_extension(
     f,
     mu: AtomicMeasure,
-    net: ConcentrationNet,
     cover: WhitneyCover,
-    pou: PartitionOfUnity,
-    params: Params,
     strict_far_field: bool = False,
     far_field_tol: float = 1e-6,
 ) -> Decomposition:
-    """Assemble the decomposition for atom values ``f``.
+    """Assemble the decomposition for atom values ``f`` over an anchored cover.
 
     ``T1`` is two sparse linear maps applied one after the other: the
-    averages over the net cubes, with the far field, the global
+    averages over the cubes of ``cover.net``, with the far field, the global
     mu-average, as one more row, and the extension of those values to the
     atoms and the boundary samples.  Boundary samples of the Whitney
     formula are compared against the far field; the worst relative mismatch
@@ -193,19 +201,17 @@ def build_extension(
     if cover.anchors is None:
         raise ValueError("cover has no anchors; call assign_anchors first")
 
+    net = cover.net
     net_values = _averages(mu, net) @ values
     X = np.concatenate([mu.positions, _boundary_samples(net.working_box)])
-    f1 = _extension(pou.evaluate(X), cover.anchors, net.size) @ net_values
+    f1 = _extension(PartitionOfUnity(cover).evaluate(X), cover.anchors, net.size) @ net_values
     far_field = float(net_values[-1])
     f1_at_atoms = f1[: mu.m]
     scale = max(np.max(np.abs(values)) if values.size else 0.0, abs(far_field), 1e-30)
     dec = Decomposition(
         mu=mu,
         f=values,
-        params=params,
-        net=net,
         cover=cover,
-        pou=pou,
         tilde=net_values[:-1],
         far_field=far_field,
         f1_at_atoms=f1_at_atoms,

@@ -871,18 +871,16 @@ def k_curve_slack(points: list["KCurvePoint"]) -> float:
 def build_pipeline(mu: AtomicMeasure, params: Params):
     """Net, anchored cover, partition and lacunae for a measure."""
     net = build_net(mu, params)
-    cover = assign_anchors(build_whitney(net), net, params)
-    pou = PartitionOfUnity(cover)
-    lacs = partition_lacunae(cover, net)
-    return net, cover, pou, lacs
+    cover = assign_anchors(build_whitney(net))
+    return net, cover, PartitionOfUnity(cover), partition_lacunae(cover)
 
 
 def upper_estimate(mu: AtomicMeasure, f, params: Params, pipeline=None) -> float:
-    """Seminorm of the extension plus the exact residual norm."""
+    """Seminorm of the extension plus the exact residual norm, over the cover of ``pipeline``."""
     if pipeline is None:
         pipeline = build_pipeline(mu, params)
-    net, cover, pou, _ = pipeline
-    dec = build_extension(f, mu, net, cover, pou, params)
+    _, cover, _, _ = pipeline
+    dec = build_extension(f, mu, cover)
     return estimate_sobolev_seminorm(dec) + mu_norm_f2(dec)
 
 

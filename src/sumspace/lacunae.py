@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import ConcentrationNet
 from .geometry import near_pairs
 from .whitney import WhitneyCover
 
@@ -59,10 +58,11 @@ class Lacunae(list):
         self.labels, self.true, self.projections = labels, true, projections
 
 
-def _slice_pairs(cover: WhitneyCover, net: ConcentrationNet):
-    """The pairs (cube ``i``, net point ``e``) with ``e`` in ``90 Q_i``, by cube
-    then point, their gaps ``|c_i - e|_inf``, and a mask of those with ``e``
-    in ``10 Q_i``: a subset, as the same gap is compared against ``10 h <= 90 h``."""
+def _slice_pairs(cover: WhitneyCover):
+    """The pairs (cube ``i``, point ``e`` of ``cover.net``) with ``e`` in ``90 Q_i``,
+    by cube then point, their gaps ``|c_i - e|_inf``, and a mask of those with
+    ``e`` in ``10 Q_i``: a subset, as the same gap is compared against ``10 h <= 90 h``."""
+    net = cover.net
     rows, cols = near_pairs(cover.centers, OUTER_DILATION * cover.halves, net.points, np.zeros(net.size))
     gaps = np.max(np.abs(cover.centers[rows] - net.points[cols]), axis=1)
     inside = gaps <= OUTER_DILATION * cover.halves[rows]
@@ -96,8 +96,9 @@ def _slice_ranks(cols: np.ndarray, start: np.ndarray, count: np.ndarray) -> tupl
     return rank[slice_of], total
 
 
-def partition_lacunae(cover: WhitneyCover, net: ConcentrationNet) -> Lacunae:
-    """Assign every cover cube to exactly one lacuna, and project each lacuna.
+def partition_lacunae(cover: WhitneyCover) -> Lacunae:
+    """Assign every cover cube to exactly one lacuna, and project each lacuna
+    onto a point of ``cover.net``.
 
     True lacunae come first, by sorted slice, then the elementary singletons;
     members are in cube order.  ``V`` is the ``90 Q`` slice of ``q_min``, so
@@ -106,7 +107,7 @@ def partition_lacunae(cover: WhitneyCover, net: ConcentrationNet) -> Lacunae:
     nearest net point.  ``projection_gamma`` is the least power of two
     ``gamma >= 1`` with the projection in ``gamma q_min``.
     """
-    rows, cols, gaps, in10 = _slice_pairs(cover, net)
+    rows, cols, gaps, in10 = _slice_pairs(cover)
     count = np.bincount(rows, minlength=cover.size)
     if not count.all():
         raise LacunaError(f"cube {int(np.argmin(count))} sees no net point inside 90Q")
@@ -129,7 +130,7 @@ def partition_lacunae(cover: WhitneyCover, net: ConcentrationNet) -> Lacunae:
     q_min = members[np.lexsort((h, seg))[firsts]]
     q_max = members[np.lexsort((-h, seg))[firsts]]
     true = np.arange(sizes.shape[0]) < n_true
-    outer = true & (count[q_min] == net.size)
+    outer = true & (count[q_min] == cover.net.size)
 
     # the slice of each q_min cube and its first point at the smallest gap
     # (the lowest id on ties), found in cube order, then put in lacuna order

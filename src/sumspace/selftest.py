@@ -83,14 +83,14 @@ def _pipeline_checks(rep: _Report, inst, tag: str, rng: np.random.Generator):
     mu, f, p = inst.mu, inst.f, inst.p
     prm = Params(p=p)
     net = build_net(mu, prm)
-    conc = verify_concentration(net, mu, prm, rng=np.random.default_rng(inst.seed + 1))
+    conc = verify_concentration(net, mu, rng=np.random.default_rng(inst.seed + 1))
     rep.check(f"{tag}_concentration", conc.ok, float(net.delta_grid))
     X = net.working_box.lo + rng.random((400, mu.n)) * (
         net.working_box.hi - net.working_box.lo
     )
     rep.check(f"{tag}_covering", not covering_violations(net, mu, X), float(net.size))
 
-    cover = assign_anchors(build_whitney(net), net, prm)
+    cover = assign_anchors(build_whitney(net))
     ok_dqe = True
     for i in range(cover.size):
         d = cover.dist_to_net(i)
@@ -115,14 +115,14 @@ def _pipeline_checks(rep: _Report, inst, tag: str, rng: np.random.Generator):
     worst = float(np.max(np.abs(sums - 1.0)))
     rep.check(f"{tag}_partition_sum", worst <= 1e-12, worst)
 
-    lacs = partition_lacunae(cover, net)
+    lacs = partition_lacunae(cover)
     covered = sorted(i for l in lacs for i in l.ids)
     rep.check(f"{tag}_lacunae_partition", covered == list(range(cover.size)), float(len(lacs)))
     contact_graph(lacs, cover)
 
-    dec = build_extension(f, mu, net, cover, pou, prm)
+    dec = build_extension(f, mu, cover)
     const = np.full(mu.m, 2.5)
-    dec_c = build_extension(const, mu, net, cover, pou, prm)
+    dec_c = build_extension(const, mu, cover)
     ok_const = bool(
         np.allclose(dec_c.tilde, 2.5, atol=1e-12) and np.allclose(dec_c.f2, 0.0, atol=1e-12)
     )

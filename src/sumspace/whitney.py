@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .concentration import ConcentrationNet, Params
+from .concentration import ConcentrationNet
 from .geometry import Cube, near_pairs, segment_reduce
 
 __all__ = [
@@ -250,17 +250,19 @@ def build_whitney(net: ConcentrationNet) -> WhitneyCover:
     )
 
 
-def assign_anchors(cover: WhitneyCover, net: ConcentrationNet, params: Params) -> WhitneyCover:
-    """Attach to each cube the nearest net point (ties to the lower id).
+def assign_anchors(cover: WhitneyCover) -> WhitneyCover:
+    """Attach to each cube the nearest point of ``cover.net`` (ties to the lower id).
 
     The nearest point always lies in ``9 Q`` because ``dist(Q, E) <= 4 diam Q``,
     so the candidates are the net points a ``near_pairs`` join finds in
-    ``tau Q`` (``tau >= 9``); a cube without one, or whose nearest point lies
-    outside ``tau Q``, indicates an inconsistent net/cover pair.
+    ``tau Q``, with ``tau >= 9`` from the net's params; a cube without one, or
+    whose nearest point lies outside ``tau Q``, indicates a cover that was not
+    built from its net.
     """
+    net, tau = cover.net, cover.net.params.tau
     E = net.points
     N = cover.size
-    rows, cols = near_pairs(cover.centers, params.tau * cover.halves, E, np.zeros(net.size))
+    rows, cols = near_pairs(cover.centers, tau * cover.halves, E, np.zeros(net.size))
 
     def dists(rows, cols):
         gaps = np.abs(cover.centers[rows] - E[cols]) - cover.halves[rows, None]
@@ -273,7 +275,7 @@ def assign_anchors(cover: WhitneyCover, net: ConcentrationNet, params: Params) -
     anchors[found] = cols[order[first]]
     center_gap = np.full(N, np.inf)
     center_gap[found] = np.max(np.abs(cover.centers[found] - E[anchors[found]]), axis=1)
-    bad = center_gap > params.tau * cover.halves * (1 + 1e-12)
+    bad = center_gap > tau * cover.halves * (1 + 1e-12)
     if np.any(bad):
         i = int(np.nonzero(bad)[0][0])
         if anchors[i] < 0:
@@ -282,7 +284,7 @@ def assign_anchors(cover: WhitneyCover, net: ConcentrationNet, params: Params) -
             center_gap[i] = np.max(np.abs(cover.centers[i] - E[anchors[i]]))
         raise AnchorError(
             f"anchor of cube {i} lies outside tau*Q "
-            f"(gap {center_gap[i]:g} > {params.tau * cover.halves[i]:g})"
+            f"(gap {center_gap[i]:g} > {tau * cover.halves[i]:g})"
         )
     cover.anchors = anchors
     return cover

@@ -59,10 +59,10 @@ class RatioFacts:
         mu, f, p = inst.mu, inst.f, inst.p
         prm = Params(p=p)
         net = build_net(mu, prm)
-        cover = assign_anchors(build_whitney(net), net, prm)
+        cover = assign_anchors(build_whitney(net))
         pou = PartitionOfUnity(cover)
-        lacs = partition_lacunae(cover, net)
-        dec = build_extension(f, mu, net, cover, pou, prm)
+        lacs = partition_lacunae(cover)
+        dec = build_extension(f, mu, cover)
         self.m = mu.m
         self.p = p
         self.seed = inst.seed
@@ -94,7 +94,7 @@ class InstanceFacts:
         t0 = time.perf_counter()
         prm = Params(p=p)
         net = build_net(mu, prm)
-        cover = assign_anchors(build_whitney(net), net, prm)
+        cover = assign_anchors(build_whitney(net))
 
         # criterion 1: net cube mass bounds, Whitney mass and geometry, separation
         d = 2.0 * net.radii
@@ -184,7 +184,7 @@ class InstanceFacts:
         self.partition_fd_ok = fd_ok
 
         # criterion 9: lacunae
-        lacs = partition_lacunae(cover, net)
+        lacs = partition_lacunae(cover)
         ids_all = sorted(i for l in lacs for i in l.ids)
         self.ok_lac_partition = ids_all == list(range(cover.size))
         ok_v = True
@@ -212,10 +212,10 @@ class InstanceFacts:
         # criterion 3: linearity, identity, constants
         g_vals = np.asarray(np.random.default_rng(inst.seed + 5).normal(size=mu.m))
         a_c, b_c = 1.3, -0.7
-        dec_f = build_extension(f, mu, net, cover, pou, prm)
-        dec_g = build_extension(g_vals, mu, net, cover, pou, prm)
-        dec_c = build_extension(a_c * f + b_c * g_vals, mu, net, cover, pou, prm)
-        dec_1 = build_extension(np.ones(mu.m), mu, net, cover, pou, prm)
+        dec_f = build_extension(f, mu, cover)
+        dec_g = build_extension(g_vals, mu, cover)
+        dec_c = build_extension(a_c * f + b_c * g_vals, mu, cover)
+        dec_1 = build_extension(np.ones(mu.m), mu, cover)
         probes = box.lo + rng.random((n_probe_linearity, mu.n)) * (box.hi - box.lo)
         probes = np.concatenate([probes, net.points], axis=0)
         lin_err = float(

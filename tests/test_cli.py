@@ -227,6 +227,40 @@ def test_input_errors(files, capsys, tmp_path):
     assert code == 1
     code, _, _ = run_cli(["oracle", "--measure", m, "--function", f], capsys)
     assert code == 1
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"cubes": [{"c": [0.5], "r": 0.6}], "prime": [0], "dprime": [0]}))
+    code, out, err = run_cli(
+        ["validate-family", "--measure", m, "--p", "2", "--family", str(fam), "--gamma", "0"], capsys
+    )
+    assert (code, out, err) == (1, "", "error: gamma must be positive\n")
+
+
+# per subcommand, the flags it does not read, with a value each would parse
+UNREAD_FLAGS = {
+    "net": ("--gamma", "--t-grid", "--format"),
+    "whitney": ("--gamma", "--seed", "--t-grid", "--format"),
+    "decompose": ("--gamma", "--seed", "--t-grid", "--format"),
+    "estimate": ("--gamma", "--seed", "--t-grid", "--format"),
+    "kcurve": ("--gamma",),
+    "oracle": ("--tau", "--gamma", "--seed", "--t-grid", "--format"),
+    "validate-family": ("--seed", "--t-grid", "--format"),
+}
+FLAG_VALUES = {"--tau": "9", "--gamma": "2", "--seed": "1", "--t-grid": "0.3:10:2", "--format": "json"}
+
+
+@pytest.mark.parametrize(
+    "command,flag", [(c, flag) for c, flags in UNREAD_FLAGS.items() for flag in flags]
+)
+def test_commands_refuse_flags_they_do_not_read(files, capsys, command, flag):
+    m, f, tmp_path = files
+    argv = [command, "--measure", m, "--p", "2"]
+    if command not in ("net", "whitney"):
+        argv += ["--function", f]
+    if command == "validate-family":
+        argv += ["--family", str(tmp_path / "fam.json")]
+    code, out, err = run_cli(argv + [flag, FLAG_VALUES[flag]], capsys)
+    assert (code, out) == (1, "")
+    assert f"error: unrecognized arguments: {flag} {FLAG_VALUES[flag]}\n" in err
 
 
 def test_selftest_deterministic_bytes(tmp_path, cli_env):

@@ -160,8 +160,8 @@ def test_verify_concentration_random(n, p, seed):
     )
     prm = Params(p=p)
     net = build_net(mu, prm)
-    rep = verify_concentration(net, mu, prm, rng=np.random.default_rng(seed + 100))
-    assert rep.ok, "\n".join(rep.summary_lines())
+    rep = verify_concentration(net, mu, rng=np.random.default_rng(seed + 100))
+    assert rep.ok, rep.checks
 
 
 def test_net_points_lie_in_working_box():
@@ -416,8 +416,8 @@ def test_build_net_extreme_masses(n, weight):
     mu = AtomicMeasure([[0.0] * n, [1.0] * n], [weight, weight])
     prm = Params(p=3.0)
     net = build_net(mu, prm)
-    rep = verify_concentration(net, mu, prm)
-    assert rep.ok, "\n".join(rep.summary_lines())
+    rep = verify_concentration(net, mu)
+    assert rep.ok, rep.checks
 
 
 def _scan_layer_net(cand, radii, eps):

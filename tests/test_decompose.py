@@ -26,14 +26,14 @@ from sumspace.whitney import PartitionOfUnity, assign_anchors, build_whitney
 def pipeline(mu, p=2.0):
     prm = Params(p=p)
     net = build_net(mu, prm)
-    cover = assign_anchors(build_whitney(net), net, prm)
+    cover = assign_anchors(build_whitney(net))
     pou = PartitionOfUnity(cover)
     return prm, net, cover, pou
 
 
 def decompose(mu, f, p=2.0):
     prm, net, cover, pou = pipeline(mu, p)
-    dec = build_extension(np.asarray(f, float), mu, net, cover, pou, prm)
+    dec = build_extension(np.asarray(f, float), mu, cover)
     return prm, net, cover, pou, dec
 
 
@@ -121,9 +121,9 @@ def test_linearity():
     g = rng.normal(size=6)
     a, b = 1.7, -0.4
     prm, net, cover, pou = pipeline(mu)
-    dec_f = build_extension(f, mu, net, cover, pou, prm)
-    dec_g = build_extension(g, mu, net, cover, pou, prm)
-    dec_c = build_extension(a * f + b * g, mu, net, cover, pou, prm)
+    dec_f = build_extension(f, mu, cover)
+    dec_g = build_extension(g, mu, cover)
+    dec_c = build_extension(a * f + b * g, mu, cover)
     assert np.allclose(dec_c.tilde, a * dec_f.tilde + b * dec_g.tilde, rtol=0, atol=1e-10)
     X = box_samples(net, rng, 300)
     vf, vg, vc = (eval_f1(d, X)[0] for d in (dec_f, dec_g, dec_c))
@@ -203,8 +203,8 @@ def test_seminorm_homogeneity():
     mu = AtomicMeasure(rng.uniform(-2, 2, size=(5, 1)), rng.uniform(0.5, 2, size=5))
     f = rng.normal(size=5)
     prm, net, cover, pou = pipeline(mu)
-    d1 = build_extension(f, mu, net, cover, pou, prm)
-    d2 = build_extension(3.0 * f, mu, net, cover, pou, prm)
+    d1 = build_extension(f, mu, cover)
+    d2 = build_extension(3.0 * f, mu, cover)
     s1 = estimate_sobolev_seminorm(d1)
     s2 = estimate_sobolev_seminorm(d2)
     assert s2 == pytest.approx(3.0 * s1, rel=1e-9)
@@ -277,10 +277,10 @@ def test_strict_far_field_flags_spread_instances():
     mu = AtomicMeasure([[0.0], [100.0]], [1.0, 1.0])
     f = np.array([0.0, 1.0])
     prm, net, cover, pou = pipeline(mu)
-    dec = be(f, mu, net, cover, pou, prm)
+    dec = be(f, mu, cover)
     assert dec.boundary_mismatch > 1e-6
     with pytest.raises(WorkingBoxError, match="working box too small"):
-        be(f, mu, net, cover, pou, prm, strict_far_field=True)
+        be(f, mu, cover, strict_far_field=True)
 
 
 def test_anchored_values_agree_on_eta_core():

@@ -517,7 +517,7 @@ def _assert_family_matches_dense(mu, p):
     prm = Params(p=p)
     net, cover, _, lacs = build_pipeline(mu, prm)
     got = build_reference_family(mu, net, cover, lacs, prm)
-    want = _dense_reference_family(mu, net, cover, partition_lacunae(cover, net), prm)
+    want = _dense_reference_family(mu, net, cover, partition_lacunae(cover), prm)
     _assert_same_family(got, want)
     return got
 
@@ -550,7 +550,7 @@ def test_reference_family_logs_one_info_line(caplog):
     )
     caplog.clear()
     with caplog.at_level(logging.ERROR, logger="sumspace.functional"):
-        build_reference_family(mu, net, cover, partition_lacunae(cover, net), prm)
+        build_reference_family(mu, net, cover, partition_lacunae(cover), prm)
     assert not caplog.records
 
 
@@ -562,8 +562,8 @@ def test_geometry_memory_scales_with_cubes():
     net = build_net(mu, prm)
     tracemalloc.start()
     try:
-        cover = assign_anchors(build_whitney(net), net, prm)
-        build_reference_family(mu, net, cover, partition_lacunae(cover, net), prm)
+        cover = assign_anchors(build_whitney(net))
+        build_reference_family(mu, net, cover, partition_lacunae(cover), prm)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

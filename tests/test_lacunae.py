@@ -24,14 +24,14 @@ from sumspace.whitney import AnchorError, assign_anchors, build_whitney
 def pipeline(mu, p=2.0):
     prm = Params(p=p)
     net = build_net(mu, prm)
-    cover = assign_anchors(build_whitney(net), net, prm)
+    cover = assign_anchors(build_whitney(net))
     return prm, net, cover
 
 
 def test_single_point_lacunae():
     mu = AtomicMeasure([[0.0]], [1.0])
     prm, net, cover = pipeline(mu)
-    lacs = partition_lacunae(cover, net)
+    lacs = partition_lacunae(cover)
     # every cube classified exactly once
     assert sorted(i for l in lacs for i in l.ids) == list(range(cover.size))
     # with one net point both slices are {0} for every cube: all true
@@ -42,7 +42,7 @@ def test_single_point_lacunae():
 def test_two_cluster_lacunae_elementary_detection():
     mu = AtomicMeasure([[0.0], [100.0]], [1.0, 1.0])
     prm, net, cover = pipeline(mu)
-    lacs = partition_lacunae(cover, net)
+    lacs = partition_lacunae(cover)
     assert sorted(i for l in lacs for i in l.ids) == list(range(cover.size))
     # independent predicate check for elementary members
     for lac in lacs:
@@ -71,7 +71,7 @@ def test_elementary_slice_diameter_bound():
             rng.uniform(-50, 50, size=(m, 1)), rng.uniform(0.3, 3.0, size=m)
         )
         prm, net, cover = pipeline(mu)
-        lacs = partition_lacunae(cover, net)
+        lacs = partition_lacunae(cover)
         for lac in lacs:
             if lac.kind != "elementary":
                 continue
@@ -92,7 +92,7 @@ def test_elementary_slice_diameter_bound():
 def test_v_slice_consistency_and_qmin():
     mu = AtomicMeasure([[0.0], [7.0], [50.0]], [1.0, 2.0, 0.5])
     prm, net, cover = pipeline(mu, p=1.5)
-    lacs = partition_lacunae(cover, net)
+    lacs = partition_lacunae(cover)
     for lac in lacs:
         halves = cover.halves[lac.ids]
         assert cover.halves[lac.q_min] == halves.min()
@@ -104,7 +104,7 @@ def test_v_slice_consistency_and_qmin():
 def test_outer_lacuna_flag():
     mu = AtomicMeasure([[0.0]], [1.0])
     prm, net, cover = pipeline(mu)
-    lacs = partition_lacunae(cover, net)
+    lacs = partition_lacunae(cover)
     outers = [l for l in lacs if l.outer]
     # the slice equal to all of E marks the outer lacuna; q_max undefined there
     assert len(outers) <= 1
@@ -115,7 +115,7 @@ def test_outer_lacuna_flag():
 def test_projection_lands_near_qmin():
     mu = AtomicMeasure([[0.0], [100.0]], [1.0, 1.0])
     prm, net, cover = pipeline(mu)
-    lacs = partition_lacunae(cover, net)
+    lacs = partition_lacunae(cover)
     for lac in lacs:
         c = cover.centers[lac.q_min]
         h = cover.halves[lac.q_min]
@@ -146,7 +146,7 @@ def _loop_contact_graph(lacunae, cover):
 def test_contact_graph():
     mu = AtomicMeasure([[0.0], [100.0]], [1.0, 1.0])
     prm, net, cover = pipeline(mu)
-    lacs = partition_lacunae(cover, net)
+    lacs = partition_lacunae(cover)
     edges, report = contact_graph(lacs, cover)
     want_edges, want_report = _loop_contact_graph(lacs, cover)
     # edges match cube adjacency across lacunae exactly
@@ -158,7 +158,7 @@ def test_contact_graph():
 def test_partition_logs_one_info_line(caplog):
     _, net, cover = pipeline(heavy_grid(3), 3.0)
     with caplog.at_level(logging.INFO, logger="sumspace.lacunae"):
-        lacs = partition_lacunae(cover, net)
+        lacs = partition_lacunae(cover)
     (record,) = [r for r in caplog.records if r.name == "sumspace.lacunae"]
     true = sum(lac.kind == "true" for lac in lacs)
     slices = len({lac.V for lac in lacs})
@@ -170,7 +170,7 @@ def test_partition_logs_one_info_line(caplog):
     )
     caplog.clear()
     with caplog.at_level(logging.ERROR, logger="sumspace.lacunae"):
-        partition_lacunae(cover, net)
+        partition_lacunae(cover)
     assert not caplog.records
 
 
@@ -218,7 +218,7 @@ def test_anchors_and_slices_match_dense_reference():
         edge = np.concatenate([c + INNER_DILATION * h, c + OUTER_DILATION * h])
         boundary_hits += int(np.sum(np.abs(edge[: i.size] - c) == INNER_DILATION * h))
         for pts in (net, dataclasses.replace(net, points=edge)):
-            rows, cols, gaps, in10 = _slice_pairs(cover, pts)
+            rows, cols, gaps, in10 = _slice_pairs(dataclasses.replace(cover, net=pts))
             assert np.all(np.diff(rows * pts.size + cols) > 0)
             assert np.array_equal(gaps, np.max(np.abs(cover.centers[rows] - pts.points[cols]), axis=1))
             for factor, inside in ((INNER_DILATION, in10), (OUTER_DILATION, slice(None))):
@@ -235,7 +235,8 @@ def test_anchors_and_slices_match_dense_reference():
             for tau in (9.0, 12.0):
                 q = Params(p=p, tau=tau)
                 want = _outcome(lambda: _dense_anchors(cover, other, q))
-                got = _outcome(lambda: assign_anchors(dataclasses.replace(cover), other, q).anchors)
+                got = _outcome(lambda: assign_anchors(
+                    dataclasses.replace(cover, net=dataclasses.replace(other, params=q))).anchors)
                 if isinstance(want, str):
                     errors += 1
                     assert got == want
@@ -302,7 +303,7 @@ def test_partition_matches_loop_reference():
     cases += [(heavy_grid(k), 3.0) for k in (2, 3, 4)]
     for mu, p in cases:
         _, net, cover = pipeline(mu, p)
-        got = partition_lacunae(cover, net)
+        got = partition_lacunae(cover)
         want = _loop_partition_lacunae(cover, net)
         assert got == want
         assert _types(got) == _types(want)
@@ -325,8 +326,8 @@ def test_anchor_and_slice_memory_scales_with_cubes():
     cover = build_whitney(net)
     tracemalloc.start()
     try:
-        assign_anchors(cover, net, prm)
-        rows, cols, gaps, in10 = _slice_pairs(cover, net)
+        assign_anchors(cover)
+        rows, cols, gaps, in10 = _slice_pairs(cover)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -22,7 +22,7 @@ def build_cover(mu, p=2.0, tau=9.0):
     prm = Params(p=p, tau=tau)
     net = build_net(mu, prm)
     cover = build_whitney(net)
-    assign_anchors(cover, net, prm)
+    assign_anchors(cover)
     return prm, net, cover
 
 

@@ -48,7 +48,7 @@ from sumspace.instances import heavy_grid
 from sumspace.lacunae import partition_lacunae
 from sumspace.measure import AtomicMeasure
 from sumspace.oracle1d import OracleProblem, k_exact, sigma_norm_exact
-from sumspace.whitney import PartitionOfUnity, assign_anchors, build_whitney
+from sumspace.whitney import assign_anchors, build_whitney
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import SEARCH_BUDGET, WORKLOADS  # noqa: E402  (the benchmark's input generators)
@@ -80,11 +80,10 @@ def rung(mu, f, p: float, curve: bool = False) -> dict:
     stages = {}
     net, stages["build_net"] = measure(lambda: build_net(mu, prm))
     cover, stages["build_whitney"] = measure(lambda: build_whitney(net))
-    cover, stages["assign_anchors"] = measure(lambda: assign_anchors(cover, net, prm))
-    lacs, stages["partition_lacunae"] = measure(lambda: partition_lacunae(cover, net))
+    cover, stages["assign_anchors"] = measure(lambda: assign_anchors(cover))
+    lacs, stages["partition_lacunae"] = measure(lambda: partition_lacunae(cover))
     ref, stages["build_reference_family"] = measure(lambda: build_reference_family(mu, net, cover, lacs, prm))
-    pou = PartitionOfUnity(cover)
-    dec, stages["build_extension"] = measure(lambda: build_extension(f, mu, net, cover, pou, prm))
+    dec, stages["build_extension"] = measure(lambda: build_extension(f, mu, cover))
     _, stages["estimate_sobolev_seminorm"] = measure(lambda: estimate_sobolev_seminorm(dec))
     _, stages["search_lower_bound"] = measure(lambda: search_lower_bound(
         mu, f, p, Variant.CR, budget=SEARCH_BUDGET, seed=0, net=net, reference=ref
