@@ -484,6 +484,93 @@ def test_quadrature_error_names_the_loop_reference_worst_cube(monkeypatch):
     assert err.value.change == abs(totals[1] - totals[0]) / max(totals[1], 1e-300)
 
 
+def _global_doubling_seminorm(dec):
+    """Reference: the seminorm with every active cube doubled until the total
+    settles, and the number of rounds that took."""
+    p = dec.params.p
+    active = _active_cubes(dec)
+    if not active.size:
+        return 0.0, 0
+    groups = _cell_groups(dec, active)
+    order, totals = decompose_mod.QUAD_ORDER, []
+    for _ in range(decompose_mod.QUAD_DOUBLINGS + 1):
+        total = float(_cube_powers(dec.pou, groups, active.size, order, p).sum() ** (1.0 / p))
+        if totals and abs(total - totals[-1]) <= decompose_mod.QUAD_REL_TOL * max(total, totals[-1], 1e-300):
+            return total, len(totals) + 1
+        totals.append(total)
+        order *= 2
+    raise AssertionError("the reference did not settle")
+
+
+def _loop_freeze(change, live, budget):
+    """Reference: freeze live cubes one by one, smallest last change first,
+    while the changes of all frozen cubes sum to at most ``budget``."""
+    live = live.copy()
+    spent = sum(change[i] for i in range(live.size) if not live[i])
+    for i in sorted(np.nonzero(live)[0], key=lambda i: change[i]):
+        spent += change[i]
+        if spent > budget:
+            break
+        live[i] = False
+    return live
+
+
+def _seminorm_rounds(dec, caplog):
+    """The seminorm and, from its info line, the cubes integrated at each order."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="sumspace.decompose"):
+        value = estimate_sobolev_seminorm(dec)
+    (record,) = [r for r in caplog.records if r.name == "sumspace.decompose"]
+    msg = record.getMessage()
+    if "cubes per order " not in msg:
+        return value, []
+    return value, [int(c) for c in msg.split("cubes per order ")[1].split(",")[0].split("/")]
+
+
+def test_per_cube_doubling_matches_global_doubling(caplog):
+    # bits where nothing freezes, 1e-5 elsewhere, and never more rounds
+    cases = [(inst.mu, inst.f, inst.p) for inst in suite_1d() + suite_2d()]
+    for k in (3, 4, 6):
+        grid = heavy_grid(k)
+        cases.append((grid, np.random.default_rng(0).normal(size=grid.m), 3.0))
+    froze = 0
+    for mu, f, p in cases:
+        dec = decompose(mu, f, p)[-1]
+        value, counts = _seminorm_rounds(dec, caplog)
+        ref, rounds = _global_doubling_seminorm(dec)
+        assert len(counts) <= rounds
+        if all(c == counts[0] for c in counts):
+            assert np.float64(value).tobytes() == np.float64(ref).tobytes()
+        else:
+            froze += 1
+            assert counts[:2] == [counts[0]] * 2 and counts == sorted(counts, reverse=True)
+            assert abs(value - ref) <= 1e-5 * ref
+    assert froze >= 1
+
+
+def test_quadrature_error_with_frozen_cubes_names_the_loop_reference_worst_cube(monkeypatch):
+    # order 16 freezes the cubes that barely moved, and the total still moves by more than 1e-5
+    monkeypatch.setattr(decompose_mod, "QUAD_DOUBLINGS", 2)
+    monkeypatch.setattr(decompose_mod, "QUAD_REL_TOL", 1e-5)
+    prm, net, cover, pou, dec = _heavy_grid_2d()
+    active = _active_cubes(dec)
+    loop = []
+    for order in (4, 8, 16):
+        nodes, wts = leggauss(order)
+        loop.append(np.array([_loop_cube_power(dec, i, nodes, wts, prm.p) for i in active]))
+    change = np.abs(loop[1] - loop[0])
+    budget = 0.5 * ((1.0 + 1e-5) ** prm.p - 1.0) * loop[1].sum()
+    live = _loop_freeze(change, np.ones(active.size, dtype=bool), budget)
+    assert 0 < live.sum() < active.size
+    last = np.where(live, loop[2], loop[1])
+    with pytest.raises(QuadratureError) as err:
+        estimate_sobolev_seminorm(dec)
+    moved = np.where(live, np.abs(last - loop[1]), -1.0)
+    assert err.value.worst_cube == int(active[np.argmax(moved)])
+    totals = [float(q.sum() ** (1.0 / prm.p)) for q in (loop[1], last)]
+    assert err.value.change == abs(totals[1] - totals[0]) / max(totals[1], 1e-300)
+
+
 def test_discrete_surrogate_matches_loop_reference():
     grid = heavy_grid(6)
     decs = [_clustered_1d()[-1], _heavy_grid_2d()[-1]]
@@ -503,6 +590,10 @@ def test_seminorm_logs_one_info_line(caplog):
     n_active = _active_cubes(dec).size
     assert f"{n_active}/{cover.size} active cubes" in msg
     assert "rounds, order " in msg and msg.endswith(f"value {value:.6g}")
+    rounds = int(msg.split(" rounds, ")[0].rsplit(" ", 1)[1])
+    assert f"cubes per order {'/'.join([str(n_active)] * rounds)}," in msg
+    # on the 3x3 heavy grid, order 16 integrates only the cubes that still move
+    assert _seminorm_rounds(_heavy_grid_2d()[-1], caplog)[1] == [205, 205, 95]
     caplog.clear()
     with caplog.at_level(logging.ERROR, logger="sumspace.decompose"):
         estimate_sobolev_seminorm(dec)
