@@ -19,10 +19,6 @@ from .geometry import (
     color_disjoint,
     cube_contains,
     cubes_intersect,
-    dist_cube_point,
-    dist_cube_set,
-    linf_dist,
-    rho_w,
     select_min_disjoint,
 )
 from .measure import AtomicMeasure, SampledFunction, average, load_function, load_measure, lp_norm

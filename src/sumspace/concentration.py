@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Cube, _greedy_pass, as_point, near_pairs
+from .geometry import Cube, _greedy_pass, as_point, cube_point_gaps, near_pairs
 from .measure import AtomicMeasure
 
 __all__ = [
@@ -224,8 +224,9 @@ class ConcentrationNet:
     theta: float
     params: Params
     # build_net's work summed over its rounds: lattice rows, rows the radius
-    # screen skipped, rows and calls of the radius kernel, widened rows; and
-    # the rounds
+    # screen skipped, rows and calls of the radius kernel, widened rows; the
+    # last round's layer range, points its layer sweeps kept and points its
+    # pruning left; and the rounds
     stats: dict = field(default_factory=dict)
 
     @property
@@ -235,10 +236,6 @@ class ConcentrationNet:
     @property
     def n(self) -> int:
         return self.points.shape[1]
-
-    def point_dists(self, x) -> np.ndarray:
-        x = as_point(x)
-        return np.max(np.abs(self.points - x), axis=1)
 
     def to_json_dict(self) -> dict:
         return {
@@ -463,14 +460,6 @@ def _layer_rows(mu: AtomicMeasure, p: float, box: Cube, RA: np.ndarray, bounds, 
     return X[keep], X.shape[0]
 
 
-@dataclass
-class _BuildStats:
-    j_min: int
-    j_max: int
-    kept: int  # points the layer sweeps kept
-    pruned: int  # points left after pruning, before the separation filter
-
-
 def _build_once(mu: AtomicMeasure, params: Params, box: Cube, theta: float):
     p = params.p
     n = mu.n
@@ -531,7 +520,8 @@ def _build_once(mu: AtomicMeasure, params: Params, box: Cube, theta: float):
         raise RuntimeError("net construction produced no points")
     P, R, L = np.concatenate(layer_pts), np.concatenate(layer_R), np.concatenate(layer_j)
     kept = _prune(P, R, L)
-    stats = _BuildStats(j_min, j_max, R.shape[0], int(kept.sum()))
+    # the layer range, the points the layer sweeps kept and those pruning left
+    shape = {"j_min": j_min, "j_max": j_max, "kept": R.shape[0], "pruned": int(kept.sum())}
     P, R, L = P[kept], R[kept], L[kept]
     sep = _separate(P, R)
     P, R, L = P[sep], R[sep], L[sep]
@@ -545,7 +535,7 @@ def _build_once(mu: AtomicMeasure, params: Params, box: Cube, theta: float):
         "kernel_blocks": -(-(RF.size + 1) // _ROW_BLOCK) + -(-X.shape[0] // _ROW_BLOCK),
         "widened_rows": widened,
     }
-    return ConcentrationNet(P, R, L, box, delta, theta, params, work), stats
+    return ConcentrationNet(P, R, L, box, delta, theta, params, work), shape
 
 
 def _verification_points(mu: AtomicMeasure, box: Cube) -> np.ndarray:
@@ -582,19 +572,19 @@ def build_net(mu: AtomicMeasure, params: Params) -> ConcentrationNet:
     last_violation = None
     work = Counter()
     for rounds in range(1, REFINEMENTS + 2):
-        net, stats = _build_once(mu, params, box, th)
+        net, shape = _build_once(mu, params, box, th)
         work.update(net.stats)
         bad = covering_violations(net, mu, _verification_points(mu, box))
         if not bad:
-            net.stats = {**work, "rounds": rounds}
+            net.stats = s = {**work, **shape, "rounds": rounds}
             log.info(
                 "net: m=%d n=%d p=%g, layers %d..%d, %d lattice rows, %d skipped by the "
                 "radius screen, %d radius rows in %d kernel blocks, %d widened radius rows, "
                 "layer sweeps kept %d, pruning left %d, separation left %d points, "
                 "%d rounds, theta %g",
-                mu.m, mu.n, params.p, stats.j_min, stats.j_max, work["lattice_rows"],
-                work["skipped_rows"], work["radius_rows"], work["kernel_blocks"],
-                work["widened_rows"], stats.kept, stats.pruned, net.size, rounds, th,
+                mu.m, mu.n, params.p, s["j_min"], s["j_max"], s["lattice_rows"], s["skipped_rows"],
+                s["radius_rows"], s["kernel_blocks"], s["widened_rows"], s["kept"], s["pruned"],
+                net.size, rounds, th,
             )
             return net
         last_violation = max(bad, key=lambda t: t[1])
@@ -703,7 +693,7 @@ def verify_concentration(
             r = 0.9 * theta * dist0 / (2.0 + theta)
             if r <= 0:
                 continue
-            dqe = float(np.min(np.max(np.maximum(np.abs(net.points - x) - r, 0.0), axis=1)))
+            dqe = float(np.min(cube_point_gaps(x, r, net.points)))
             if 2 * r > theta * dqe:
                 continue
             far_c.append(x)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .concentration import ConcentrationNet, Params, build_net
 from .decompose import build_extension, estimate_sobolev_seminorm, mu_norm_f2
-from .geometry import CubeFamily, greedy_disjoint, meeting_pairs, near_pairs, segment_reduce
+from .geometry import CubeFamily, cube_point_gaps, greedy_disjoint, meeting_pairs, near_pairs, segment_reduce
 from .lacunae import Lacuna, partition_lacunae
 from .measure import AtomicMeasure, _values_of, lp_norm
 from .whitney import PartitionOfUnity, WhitneyCover, assign_anchors, build_whitney
@@ -447,8 +447,9 @@ def build_reference_family(
 
     Members are held as arrays (centers, half sides, pool keys); pool key
     ``k < net.size`` is net cube ``k`` and ``net.size + i`` is cover cube
-    ``i``.  Cubes meeting each other or a net cube are found by range joins
-    (``near_pairs``), so the cost follows the number of such contacts.
+    ``i``.  Cubes meeting each other or near a net cube are found by range
+    joins (``meeting_pairs``, ``near_pairs``), so the cost follows the number
+    of such contacts.
     """
     p, n = params.p, mu.n
     eta = params.eta
@@ -464,7 +465,7 @@ def build_reference_family(
     # dist(Q, e) <= eta R(e) / 2
     thr = eta * R / 2.0
     rows, pts = near_pairs(C, H, E, thr)
-    near = np.max(np.abs(E[pts] - C[rows]), axis=1) - H[rows] <= thr[pts]
+    near = cube_point_gaps(C[rows], H[rows], E[pts]) <= thr[pts]
     is_away = np.ones(cover.size, dtype=bool)
     is_away[rows[near]] = False
     away = np.nonzero(is_away)[0]
@@ -525,9 +526,8 @@ def build_reference_family(
     mult = 1
     if pool_keys.shape[0] > 1:
         probes = np.concatenate([pc, pc + ph[:, None], pc - ph[:, None]], axis=0)
-        at, cube = near_pairs(probes, np.zeros(probes.shape[0]), pc, ph)
-        inside = np.all(np.abs(probes[at] - pc[cube]) <= ph[cube][:, None], axis=1)
-        mult = int(np.bincount(at[inside]).max())
+        at, _ = meeting_pairs(probes, np.zeros(probes.shape[0]), pc, ph)
+        mult = int(np.bincount(at).max())
 
     # weighted set-pair list: anchored + net terms with the CR weight,
     # plus the lacuna terms (member union vs projected net cube, 1/mass)

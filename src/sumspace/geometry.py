@@ -17,16 +17,13 @@ from scipy.spatial import cKDTree
 
 __all__ = [
     "as_point",
-    "linf_dist",
-    "rho_w",
     "Cube",
     "CubeFamily",
     "cubes_intersect",
     "cube_contains",
-    "dist_cube_point",
-    "dist_cube_set",
     "near_pairs",
     "meeting_pairs",
+    "cube_point_gaps",
     "greedy_disjoint",
     "segment_reduce",
     "select_min_disjoint",
@@ -63,34 +60,6 @@ def as_point(x) -> np.ndarray:
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-
-
-def linf_dist(a, b) -> float:
-    """Sup-norm distance ``max_i |a_i - b_i|``."""
-    a = as_point(a)
-    b = as_point(b)
-    _check_same_dim(a, b)
-    return float(np.max(np.abs(a - b)))
-
-
-def rho_w(a, b, w) -> float:
-    """Weighted metric ``|a - b| + w(a) + w(b)`` for distinct points, 0 on the diagonal.
-
-    ``w`` must return strictly positive finite reals; then ``rho_w`` is a
-    metric dominating ``w`` on both arguments.
-    """
-    a = as_point(a)
-    b = as_point(b)
-    _check_same_dim(a, b)
-    if np.array_equal(a, b):
-        return 0.0
-    wa = float(w(a))
-    wb = float(w(b))
-    if not (wa > 0.0 and math.isfinite(wa)) or not (wb > 0.0 and math.isfinite(wb)):
-        raise ValueError(f"weight function must be positive and finite, got {wa}, {wb}")
-    # canonical summation order keeps the metric bitwise symmetric
-    lo, hi = (wa, wb) if wa <= wb else (wb, wa)
-    return float(np.max(np.abs(a - b))) + lo + hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,25 +117,6 @@ def cube_contains(outer: Cube, inner: Cube) -> bool:
     return bool(
         np.all(np.abs(outer.center - inner.center) + inner.half_side <= outer.half_side)
     )
-
-
-def dist_cube_point(q: Cube, x) -> float:
-    """Sup-norm distance from the cube (as a set) to a point; 0 if inside."""
-    x = as_point(x)
-    _check_same_dim(x, q.center)
-    gaps = np.maximum(np.abs(x - q.center) - q.half_side, 0.0)
-    return float(np.max(gaps))
-
-
-def dist_cube_set(q: Cube, pts) -> float:
-    """Distance from the cube to the nearest of ``pts``; 0 if one lies inside."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if pts.size == 0:
-        raise ValueError("empty point list")
-    if pts.shape[1] != q.dim:
-        raise ValueError(f"dimension mismatch: {pts.shape[1]} vs {q.dim}")
-    gaps = np.maximum(np.abs(pts - q.center) - q.half_side, 0.0)
-    return float(np.min(np.max(gaps, axis=1)))
 
 
 # fewest cubes for a band of ``near_pairs`` to be joined as a whole; smaller
@@ -235,7 +185,8 @@ def near_pairs(ca, ha, cb=None, hb=None) -> tuple[np.ndarray, np.ndarray]:
 
     Returns index arrays ``(i, j)``, sorted by ``i`` and then ``j``, that hold
     every pair with ``|ca[i] - cb[j]|_inf <= (1 + 1e-6) (ha[i] + hb[j])`` and
-    possibly some farther ones, so callers apply their exact test to them.
+    possibly some farther ones, so callers apply their exact test to them
+    (``meeting_pairs`` applies the closed-cube test).
     Without ``cb, hb`` the family is paired with itself (``i == j`` included).
     When there are at most ``_MIN_BAND ** 2`` pairs in all, all are returned.
     Half sides may be zero (points).  Each side is split into bands by the
@@ -275,13 +226,35 @@ def near_pairs(ca, ha, cb=None, hb=None) -> tuple[np.ndarray, np.ndarray]:
     return I[order], J[order]
 
 
-def meeting_pairs(centers, halves) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs ``(i, j)``, ``i != j``, of meeting closed cubes, sorted by ``i`` then ``j``."""
-    i, j = near_pairs(centers, halves)
-    meet = (i != j) & np.all(
-        np.abs(centers[i] - centers[j]) <= (halves[i] + halves[j])[:, None], axis=1
-    )
+def meeting_pairs(ca, ha, cb=None, hb=None) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``(i, j)`` of meeting closed cubes ``Q(ca[i], ha[i])`` and ``Q(cb[j], hb[j])``.
+
+    A pair meets when ``|ca[i] - cb[j]| <= ha[i] + hb[j]`` on every axis;
+    the pairs are sorted by ``i`` and then ``j``.  A half side of 0 is a
+    point, so a point meets a cube exactly when it lies in it.  Without
+    ``cb, hb`` the family is paired with itself and ``i == j`` is left out.
+    Every closed-cube membership query of the package is this one join.
+    """
+    ca, ha = np.asarray(ca, dtype=float), np.asarray(ha, dtype=float)
+    i, j = near_pairs(ca, ha, cb, hb)
+    if cb is None:
+        cb, hb, meet = ca, ha, i != j
+    else:
+        cb, hb, meet = np.asarray(cb, dtype=float), np.asarray(hb, dtype=float), True
+    meet = meet & np.all(np.abs(ca[i] - cb[j]) <= (ha[i] + hb[j])[:, None], axis=1)
     return i[meet], j[meet]
+
+
+def cube_point_gaps(centers, halves, points) -> np.ndarray:
+    """Sup-norm distance from the closed cube ``Q(centers[k], halves[k])`` to ``points[k]``, 0 inside.
+
+    The arguments are aligned by row and broadcast as numpy arrays do, so
+    one cube may be measured against many points.
+    """
+    gaps = np.subtract(centers, points)  # one temporary, worked in place
+    np.abs(gaps, out=gaps)
+    gaps -= np.asarray(halves)[..., None]
+    return np.maximum(gaps, 0.0, out=gaps).max(axis=-1)
 
 
 def _greedy_pass(k: int, later: np.ndarray, earlier: np.ndarray) -> np.ndarray:

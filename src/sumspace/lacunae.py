@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import near_pairs
+from .geometry import meeting_pairs
 from .whitney import WhitneyCover
 
 __all__ = [
@@ -63,10 +63,8 @@ def _slice_pairs(cover: WhitneyCover):
     by cube then point, their gaps ``|c_i - e|_inf``, and a mask of those with
     ``e`` in ``10 Q_i``: a subset, as the same gap is compared against ``10 h <= 90 h``."""
     net = cover.net
-    rows, cols = near_pairs(cover.centers, OUTER_DILATION * cover.halves, net.points, np.zeros(net.size))
+    rows, cols = meeting_pairs(cover.centers, OUTER_DILATION * cover.halves, net.points, np.zeros(net.size))
     gaps = np.max(np.abs(cover.centers[rows] - net.points[cols]), axis=1)
-    inside = gaps <= OUTER_DILATION * cover.halves[rows]
-    rows, cols, gaps = rows[inside], cols[inside], gaps[inside]
     return rows, cols, gaps, gaps <= INNER_DILATION * cover.halves[rows]
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Cube, near_pairs, segment_reduce
+from .geometry import Cube, meeting_pairs, segment_reduce
 
 __all__ = [
     "AtomicMeasure",
@@ -62,9 +62,9 @@ def _merge_duplicates(positions, weights, values):
 class AtomicMeasure:
     """Non-trivial non-negative finite atomic measure with exact cube queries.
 
-    Cube queries go through one batched query, :meth:`cube_atoms`: a range
-    join of the cubes with the atoms (``near_pairs``) narrows the candidates
-    and the exact closed-cube test decides membership, so masses are exact.
+    Cube queries go through one batched query, :meth:`cube_atoms`: the
+    closed-cube join of the cubes with the atoms (``meeting_pairs``), so
+    masses are exact.
     Sorted coordinates in 1d and a KD-tree in 2d serve the nearest atoms of
     the concentration radius.
     """
@@ -126,8 +126,8 @@ class AtomicMeasure:
     def cube_atoms(self, centers, halves) -> tuple[np.ndarray, np.ndarray]:
         """Pairs ``(k, i)`` of every atom ``i`` inside the closed cube ``Q(centers[k], halves[k])``.
 
-        The pairs come from one range join (``near_pairs``) and the exact
-        closed-cube test ``|x - c|_inf <= h``, sorted by cube and then by atom.
+        The pairs are the closed-cube join ``|x - c|_inf <= h`` of the cubes
+        with the atoms (``meeting_pairs``), sorted by cube and then by atom.
         This is the only atom query: masses, averages and oscillation sums
         are all read from it.
         """
@@ -137,9 +137,7 @@ class AtomicMeasure:
             C = C.reshape(0, self.n)  # an empty cube set has no dimension to check
         if C.shape != (H.shape[0], self.n):
             raise ValueError(f"expected {H.shape[0]} centers of dimension {self.n}, got {C.shape}")
-        rows, atoms = near_pairs(C, H, self.positions, np.zeros(self.m))
-        inside = np.max(np.abs(self.positions[atoms] - C[rows]), axis=1) <= H[rows]
-        return rows[inside], atoms[inside]
+        return meeting_pairs(C, H, self.positions, np.zeros(self.m))
 
     def mass_many(self, centers, halves) -> np.ndarray:
         """Masses of the closed cubes ``Q(centers[k], halves[k])``.
@@ -256,15 +254,19 @@ def load_function(path, mu: AtomicMeasure) -> SampledFunction:
     if values.shape[0] == mu.m:
         return SampledFunction(values)
     if values.shape[0] == mu.merge_map.shape[0]:
+        # every atom's raw values in file order, each compared with the one before
+        order = np.argsort(mu.merge_map, kind="stable")
+        atom, v = mu.merge_map[order], values[order]
+        again = atom[1:] == atom[:-1]
+        bad = np.flatnonzero(again & (np.abs(v[:-1] - v[1:]) > 1e-12))
+        if bad.size:
+            k = bad[np.argmin(order[bad + 1])]  # the first disagreement in file order
+            raise MeasureFormatError(
+                f"values {v[k]} vs {v[k + 1]} disagree on merged atom {atom[k]}"
+            )
+        last = np.append(~again, True)
         merged = np.zeros(mu.m)
-        for raw, v in enumerate(values):
-            j = mu.merge_map[raw]
-            if raw != 0 and np.any(mu.merge_map[:raw] == j):
-                if abs(merged[j] - v) > 1e-12:
-                    raise MeasureFormatError(
-                        f"values {merged[j]} vs {v} disagree on merged atom {j}"
-                    )
-            merged[j] = v
+        merged[atom[last]] = v[last]
         return SampledFunction(merged)
     raise MeasureFormatError(
         f"function file has {values.shape[0]} values for {mu.m} atoms"

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .concentration import ConcentrationNet
-from .geometry import Cube, near_pairs, segment_reduce
+from .geometry import Cube, cube_point_gaps, meeting_pairs, near_pairs, segment_reduce
 
 __all__ = [
     "WhitneyCover",
@@ -104,10 +104,7 @@ class WhitneyCover:
         return self.edge_src, self.edge_dst
 
     def dist_to_net(self, i: int) -> float:
-        gaps = np.maximum(
-            np.abs(self.net.points - self.centers[i]) - self.halves[i], 0.0
-        )
-        return float(np.min(np.max(gaps, axis=1)))
+        return float(np.min(cube_point_gaps(self.centers[i], self.halves[i], self.net.points)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -159,9 +156,8 @@ def build_whitney(net: ConcentrationNet) -> WhitneyCover:
         if level > DEPTH_LIMIT:
             # only unresolved multi-point cubes are fatal; they mean the net
             # packs points below the dyadic resolution
-            at, e = near_pairs(C, H, E, np.zeros(net.size))
-            inside = np.all(np.abs(E[e] - C[at]) <= H[at, None], axis=1)
-            if np.any(np.bincount(at[inside]) >= 2):
+            at, _ = meeting_pairs(C, H, E, np.zeros(net.size))
+            if np.any(np.bincount(at) >= 2):
                 raise DepthLimitError(
                     f"net point density exceeds dyadic depth limit {DEPTH_LIMIT}"
                 )
@@ -170,9 +166,8 @@ def build_whitney(net: ConcentrationNet) -> WhitneyCover:
             )
         # keep Q when dist(Q, E) >= diam Q; a net point closer than that lies in Q(c, 3 H)
         at, e = near_pairs(C, 3.0 * H, E, np.zeros(net.size))
-        dist = np.max(np.maximum(np.abs(C[at] - E[e]) - H[at, None], 0.0), axis=1)
         keep = np.ones(C.shape[0], dtype=bool)
-        keep[at[dist < 2.0 * H[at]]] = False
+        keep[at[cube_point_gaps(C[at], H[at], E[e]) < 2.0 * H[at]]] = False
         if np.any(keep):
             sel_c.append(C[keep])
             sel_h.append(H[keep])
@@ -264,12 +259,8 @@ def assign_anchors(cover: WhitneyCover) -> WhitneyCover:
     N = cover.size
     rows, cols = near_pairs(cover.centers, tau * cover.halves, E, np.zeros(net.size))
 
-    def dists(rows, cols):
-        gaps = np.abs(cover.centers[rows] - E[cols]) - cover.halves[rows, None]
-        return np.max(np.maximum(gaps, 0.0), axis=1)
-
     # each cube's first pair by distance, then by id: ties go to the lower id
-    order = np.lexsort((cols, dists(rows, cols), rows))
+    order = np.lexsort((cols, cube_point_gaps(cover.centers[rows], cover.halves[rows], E[cols]), rows))
     found, first = np.unique(rows[order], return_index=True)
     anchors = np.full(N, -1)
     anchors[found] = cols[order[first]]
@@ -280,7 +271,7 @@ def assign_anchors(cover: WhitneyCover) -> WhitneyCover:
         i = int(np.nonzero(bad)[0][0])
         if anchors[i] < 0:
             # no candidate: the nearest of all net points names the gap
-            anchors[i] = np.argmin(dists(np.full(net.size, i), np.arange(net.size)))
+            anchors[i] = np.argmin(cube_point_gaps(cover.centers[i], cover.halves[i], E))
             center_gap[i] = np.max(np.abs(cover.centers[i] - E[anchors[i]]))
         raise AnchorError(
             f"anchor of cube {i} lies outside tau*Q "
@@ -394,33 +385,26 @@ class PartitionOfUnity:
     def evaluate(self, X) -> PartitionValues:
         """The partition and its gradients at the rows of the (P, n) array ``X``.
 
-        Net points, inner holes and the cubes whose ``Q*`` may hold a row are
-        found by ``near_pairs`` lookups, then decided by exact closed tests.
-        A row that those tests leave unclassified is tested against the holes
-        once more with a relative slack of 1e-12 of the hole half side.
+        The net point equal to a row, the inner holes that hold it and the
+        cubes whose ``Q*`` holds it are closed-cube joins of the rows, as
+        points, with those cubes (``meeting_pairs``).  A row that those joins
+        leave unclassified is joined with the holes once more, their half
+        sides widened by a relative 1e-12.
         """
         cover, net = self.cover, self.cover.net
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != cover.n:
             raise ValueError(f"expected rows of {cover.n} coordinates, got shape {X.shape}")
         P = X.shape[0]
-        at, e = near_pairs(X, np.zeros(P), net.points, np.zeros(net.size))
-        same = np.all(X[at] == net.points[e], axis=1)
-        net_hit = _first_hits(at[same], e[same], P)
+        net_hit = _first_hits(*meeting_pairs(X, np.zeros(P), net.points, np.zeros(net.size)), P)
         box = net.working_box
         outside = (net_hit < 0) & np.any(np.abs(X - box.center) > box.half_side, axis=1)
         rows = np.nonzero((net_hit < 0) & ~outside)[0]
         Y = X[rows]
 
-        hat, h = near_pairs(Y, np.zeros(rows.size), cover.hole_centers, cover.hole_halves)
-        off = np.abs(Y[hat] - cover.hole_centers[h])
-        inside = np.all(off <= cover.hole_halves[h][:, None], axis=1)
-        hole = _first_hits(hat[inside], h[inside], rows.size)
-
-        reach = self.SUPPORT * cover.halves
-        at, q = near_pairs(Y, np.zeros(rows.size), cover.centers, reach)
-        inside = np.all(np.abs(Y[at] - cover.centers[q]) <= reach[q][:, None], axis=1)
-        at, q = at[inside], q[inside]
+        zero = np.zeros(rows.size)  # the rows as points
+        hole = _first_hits(*meeting_pairs(Y, zero, cover.hole_centers, cover.hole_halves), rows.size)
+        at, q = meeting_pairs(Y, zero, cover.centers, self.SUPPORT * cover.halves)
         b, g = self.bumps(q, Y[at])
         pos = b > 0.0
         at, q, b, g = at[pos], q[pos], b[pos], g[pos]
@@ -428,9 +412,9 @@ class PartitionOfUnity:
         S = segment_reduce(np.bincount(at, minlength=rows.size), lambda x: x.sum(axis=1), b)
         G = np.stack([np.bincount(at, weights=g[:, ax], minlength=rows.size) for ax in range(cover.n)], axis=1)
         # a row that no closed test classifies can sit a rounding outside a hole face
-        stray = (hole < 0) & (S == 0.0)
-        near = stray[hat] & np.all(off <= cover.hole_halves[h][:, None] * (1 + 1e-12), axis=1)
-        hole[stray] = _first_hits(hat[near], h[near], rows.size)[stray]
+        stray = np.flatnonzero((hole < 0) & (S == 0.0))
+        near = meeting_pairs(Y[stray], zero[stray], cover.hole_centers, cover.hole_halves * (1 + 1e-12))
+        hole[stray] = _first_hits(*near, stray.size)
         hole_net = np.full(P, -1, dtype=np.intp)
         hole_net[rows[hole >= 0]] = cover.hole_net[hole[hole >= 0]]
         total = np.zeros(P)

@@ -42,7 +42,7 @@ def delta1(x, w=1.0):
 
 def covering_lhs(net, x) -> float:
     """Best value of ``|x - e| + R(e)`` over the net."""
-    return float(np.min(net.point_dists(x) + net.radii))
+    return float(np.min(np.max(np.abs(net.points - np.asarray(x, dtype=float)), axis=1) + net.radii))
 
 
 def test_radius_single_atom_examples():
@@ -336,8 +336,8 @@ def test_layer_candidate_grid_matches_set_lattice_on_every_layer(which):
         mu, prm = heavy_grid(int(which[-1])), Params(p=3.0)
     box = _default_box(mu, prm.p, 4.0)
     for theta in (0.125, 0.0625):
-        _, stats = _build_once(mu, prm, box, theta)
-        for j in range(stats.j_min, stats.j_max + 1):
+        _, shape = _build_once(mu, prm, box, theta)
+        for j in range(shape["j_min"], shape["j_max"] + 1):
             h = theta * 2.0 ** (-j)
             got = _layer_candidate_grid(mu.positions, box, j, h)[0]
             want = _set_lattice(mu, box, j, h)
@@ -396,8 +396,8 @@ def test_layer_candidate_grid_1d_interval_union_matches_enumeration():
     for mu, p in cases:
         box = _default_box(mu, p, 4.0)
         for theta in (0.125, 0.0625):
-            _, stats = _build_once(mu, Params(p=p), box, theta)
-            for j in range(stats.j_min - 1, stats.j_max + 2):
+            _, shape = _build_once(mu, Params(p=p), box, theta)
+            for j in range(shape["j_min"] - 1, shape["j_max"] + 2):
                 h = max(theta * 2.0 ** (-j), 2.0 * box.half_side * 2.0**-62)
                 for b in (box, Cube(box.center + 0.75 * box.half_side, box.half_side / 2), Cube(box.hi + 1.0, 0.5)):
                     got, row, atom = _layer_candidate_grid(mu.positions, b, j, h)
@@ -577,9 +577,9 @@ def test_screened_build_bit_equal_to_loop():
         prm = Params(p=p)
         box = _default_box(mu, p, 4.0)
         for theta in (0.125, 0.0625):
-            net, stats = _build_once(mu, prm, box, theta)
+            net, shape = _build_once(mu, prm, box, theta)
             P, R, L, j_min, j_max = _loop_build_once(mu, prm, box, theta)
-            assert (stats.j_min, stats.j_max) == (j_min, j_max), name
+            assert (shape["j_min"], shape["j_max"]) == (j_min, j_max), name
             assert net.points.shape == P.shape, name
             assert net.points.tobytes() == P.tobytes(), name
             assert net.radii.tobytes() == R.tobytes(), name
@@ -714,12 +714,15 @@ def test_build_net_logs_one_info_line(caplog):
     assert rows == lattice - skipped + m + 3
     # both passes in blocks of _ROW_BLOCK rows
     assert blocks == -(-(m + 3) // _ROW_BLOCK) + -(-(lattice - skipped) // _ROW_BLOCK)
+    kept = int(msg.split("layer sweeps kept ")[1].split(",")[0])
+    pruned = int(msg.split("pruning left ")[1].split(",")[0])
+    j_min, j_max = (int(v) for v in msg.split("layers ")[1].split(",")[0].split(".."))
     assert net.stats == {
         "lattice_rows": lattice, "skipped_rows": skipped, "radius_rows": rows,
         "kernel_blocks": blocks, "widened_rows": widened, "rounds": 1,
+        "j_min": j_min, "j_max": j_max, "kept": kept, "pruned": pruned,
     }
-    kept = int(msg.split("layer sweeps kept ")[1].split(",")[0])
-    pruned = int(msg.split("pruning left ")[1].split(",")[0])
+    assert j_min <= int(net.layers.min()) <= int(net.layers.max()) <= j_max
     assert f"separation left {net.size} points" in msg
     assert kept >= pruned >= net.size >= 1
     caplog.clear()

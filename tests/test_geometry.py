@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sumspace.geometry import (
     Cube,
@@ -9,56 +7,14 @@ from sumspace.geometry import (
     DegreeBoundError,
     color_disjoint,
     cube_contains,
+    cube_point_gaps,
     cubes_intersect,
-    dist_cube_point,
-    dist_cube_set,
     greedy_disjoint,
-    linf_dist,
     meeting_pairs,
     near_pairs,
-    rho_w,
     select_min_disjoint,
 )
 from sumspace.geometry import _bands
-
-
-def test_linf_dist_basic():
-    assert linf_dist([0.0], [0.0]) == 0.0
-    assert linf_dist([0.0, 0.0], [3.0, -4.0]) == 4.0
-    assert linf_dist([1.0], [-2.0]) == 3.0
-
-
-def test_linf_dist_dimension_mismatch():
-    with pytest.raises(ValueError):
-        linf_dist([0.0], [0.0, 1.0])
-
-
-def test_rho_w_values():
-    one = lambda x: 1.0
-    assert rho_w([0.0], [0.0], one) == 0.0
-    assert rho_w([0.0], [1.0], one) == 3.0
-    w = lambda x: max(abs(float(x[0])), 1.0)
-    # |0-2| + w(0) + w(2) = 2 + 1 + 2
-    assert rho_w([0.0], [2.0], w) == 5.0
-
-
-def test_rho_w_rejects_nonpositive_weight():
-    with pytest.raises(ValueError):
-        rho_w([0.0], [1.0], lambda x: 0.0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(st.floats(-50, 50), min_size=2, max_size=2),
-    st.lists(st.floats(-50, 50), min_size=2, max_size=2),
-    st.lists(st.floats(-50, 50), min_size=2, max_size=2),
-)
-def test_rho_w_metric_axioms(a, b, c):
-    w = lambda x: 1.0 + abs(float(x[0])) / 10.0
-    ab, ba = rho_w(a, b, w), rho_w(b, a, w)
-    assert ab == ba
-    assert rho_w(a, a, w) == 0.0
-    assert rho_w(a, c, w) <= rho_w(a, b, w) + rho_w(b, c, w) + 1e-12
 
 
 def test_cube_invariants():
@@ -77,12 +33,27 @@ def test_closed_intersection_and_containment():
     assert not cube_contains(Cube([0.0], 2.0), Cube([1.5], 1.0))
 
 
-def test_dist_cube_point_and_set():
-    assert dist_cube_point(Cube([0.0], 1.0), [3.0]) == 2.0
-    assert dist_cube_point(Cube([0.0, 0.0], 1.0), [0.5, 0.5]) == 0.0
-    assert dist_cube_set(Cube([0.0], 1.0), [[3.0], [1.5]]) == 0.5
-    with pytest.raises(ValueError):
-        dist_cube_set(Cube([0.0], 1.0), np.zeros((0, 1)))
+def test_cube_point_gaps_worked_values():
+    assert list(cube_point_gaps([[0.0], [0.0]], [1.0, 1.0], [[3.0], [-0.5]])) == [2.0, 0.0]
+    assert cube_point_gaps([[0.0, 0.0]], [1.0], [[0.5, 0.5]])[0] == 0.0
+    # one cube against many points: the nearest is 0.5 away
+    assert list(cube_point_gaps([0.0], 1.0, [[3.0], [1.5]])) == [2.0, 0.5]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cube_point_gaps_match_scalar_loop(n):
+    rng = np.random.default_rng(60 + n)
+    c, h = _random_cubes(rng, 300, n)
+    x = np.concatenate([_random_cubes(rng, 200, n)[0], c[200:] + h[200:, None]])  # own corners last
+    gaps = cube_point_gaps(c, h, x)
+    loop = [
+        max(max(abs(float(a) - float(b)) - float(r), 0.0) for a, b in zip(ck, xk))
+        for ck, r, xk in zip(c, h, x)
+    ]
+    assert gaps.tobytes() == np.array(loop).tobytes()
+    assert np.count_nonzero(gaps == 0.0) > 100
+    # one cube broadcast against every point gives its row of the aligned form
+    assert cube_point_gaps(c[7], h[7], x).tobytes() == cube_point_gaps(c[[7] * 300], h[[7] * 300], x).tobytes()
 
 
 def test_select_min_disjoint_worked_example():
@@ -195,6 +166,38 @@ def test_near_pairs_hold_every_meeting_pair(n):
             key = i * h2.shape[0] + j
             assert np.all(np.diff(key) > 0) and i.dtype == j.dtype == np.intp
     assert banded > 10
+
+
+def _dense_meeting(ca, ha, cb, hb):
+    """Reference: every pair tested, in row-major order (by ``i``, then ``j``)."""
+    meet = np.all(np.abs(ca[:, None, :] - cb[None, :, :]) <= (ha[:, None] + hb[None, :])[..., None], axis=2)
+    return np.nonzero(meet)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_meeting_pairs_match_dense_reference(n):
+    rng = np.random.default_rng(90 + n)
+    sizes = [(0, 5), (5, 0), (0, 0), (1, 1), (40, 100), (64, 64), (65, 64), (300, 20), (500, 400)]
+    sizes += [tuple(rng.integers(1, 600, size=2)) for _ in range(12)]
+    for ka, kb in sizes:
+        ca, ha = _random_cubes(rng, int(ka), n)
+        cb, hb = _random_cubes(rng, int(kb), n)
+        for c in (ca, cb):
+            c[rng.random(c.shape) < 0.5] *= -1.0  # -0.0 coordinates among the zeros
+        ref = _dense_meeting(ca, ha, cb, hb)
+        got = meeting_pairs(ca, ha, cb, hb)
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref)), (ka, kb)
+        # self mode, and the same family passed as a second one: only self mode drops i == j
+        i, j = _dense_meeting(ca, ha, ca, ha)
+        si, sj = meeting_pairs(ca, ha)
+        assert np.array_equal(si, i[i != j]) and np.array_equal(sj, j[i != j])
+        ti, tj = meeting_pairs(ca, ha, ca, ha)
+        assert np.array_equal(ti, i) and np.array_equal(tj, j)
+        assert np.count_nonzero(ti == tj) == ka
+        for x in (got, (si, sj)):
+            assert x[0].dtype == x[1].dtype == np.intp
+    # both sides of the all-pairs shortcut were met
+    assert min(a * b for a, b in sizes) <= 64**2 < max(a * b for a, b in sizes)
 
 
 def test_near_pairs_stay_near_linear_across_scales():

@@ -196,6 +196,42 @@ def test_json_duplicate_atoms_function_alignment(tmp_path):
     assert list(f.values) == [5.0, 7.0]
 
 
+def _loop_load_values(merge_map, values, m):
+    """Reference: each raw value checked against the merged value so far, in file order."""
+    merged = np.zeros(m)
+    for raw, v in enumerate(values):
+        j = merge_map[raw]
+        if np.any(merge_map[:raw] == j) and abs(merged[j] - v) > 1e-12:
+            return f"values {merged[j]} vs {v} disagree on merged atom {j}"
+        merged[j] = v
+    return merged
+
+
+def test_json_many_duplicate_atoms_match_loop(tmp_path):
+    rng = np.random.default_rng(5)
+    raw = rng.integers(0, 300, size=3000)  # every atom about ten times, in shuffled order
+    xs = raw.astype(float) / 7.0
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"n": 1, "atoms": [{"x": [x], "w": 1.0} for x in xs.tolist()]}))
+    mu = load_measure(mpath)
+    assert mu.m == np.unique(raw).size and mu.merge_map.shape == (3000,)
+    base = rng.normal(size=300)[raw]
+    jitter = base + rng.uniform(-5e-13, 5e-13, size=3000)  # within the 1e-12 agreement
+    late = jitter.copy()
+    late[[2500, 2900]] += [1e-9, 1.0]  # two conflicts late in the file, the first reported
+    for values in (base, jitter, late):
+        fpath = tmp_path / "f.json"
+        fpath.write_text(json.dumps({"values": values.tolist()}))
+        want = _loop_load_values(mu.merge_map, values, mu.m)
+        assert isinstance(want, str) == (values is late)
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as err:
+                load_function(fpath, mu)
+            assert str(err.value) == want
+        else:
+            assert load_function(fpath, mu).values.tobytes() == want.tobytes()
+
+
 def test_sampled_function_validation():
     with pytest.raises(ValueError):
         SampledFunction([np.inf])

@@ -256,6 +256,24 @@ def test_partition_rejects_net_points_and_holes():
                 pou.evaluate(hx[None, :]).check_defined()
 
 
+def test_rows_a_rounding_outside_a_hole_face_belong_to_the_hole():
+    """Rows within a relative 1e-12 outside a hole face that no cube's support
+    holds are classified by the hole join with that slack."""
+    slack = 0
+    for inst in suite_1d(30) + suite_2d(6):
+        cover = build_whitney(build_net(inst.mu, Params(p=inst.p)))
+        hc, hh = cover.hole_centers, cover.hole_halves
+        X = np.concatenate([hc + s * hh[:, None] * (1 + 5e-13) for s in (-1.0, 1.0)])
+        # those the rounding of the offset leaves within the slack of their hole
+        X = X[np.max(np.abs(X - np.concatenate([hc, hc])), axis=1) <= np.concatenate([hh, hh]) * (1 + 1e-12)]
+        part = PartitionOfUnity(cover).evaluate(X)
+        bare = ~part.covered & ~part.outside & (part.net_hit < 0)
+        assert np.all(part.hole_net[bare] >= 0)
+        strict = np.any(np.all(np.abs(X[:, None, :] - hc[None]) <= hh[None, :, None], axis=2), axis=1)
+        slack += int(np.sum(bare & ~strict))
+    assert slack > 0
+
+
 def test_partition_2d():
     rng = np.random.default_rng(8)
     mu = AtomicMeasure(rng.uniform(-1, 1, size=(4, 2)), rng.uniform(0.5, 2.0, size=4))
